@@ -8,13 +8,12 @@
 //! the ones evaluated in the paper. With `max_batch_size = 1` every batch
 //! holds a single transaction and the rounds are bit-for-bit the paper's.
 
-use super::{IntraRound, Replica};
+use super::{intra_block, IntraRound, Replica};
 use crate::messages::{proposal_sign_bytes, vote_sign_bytes, Ballot, Msg};
 use sharper_common::{FailureModel, TraceKind};
 use sharper_crypto::{Digest, Signature};
-use sharper_ledger::{Batch, Block};
+use sharper_ledger::Batch;
 use sharper_net::{ActorId, Context};
-use std::collections::BTreeMap;
 
 impl Replica {
     /// Starts ordering an intra-shard batch. Called on the primary.
@@ -70,14 +69,12 @@ impl Replica {
         // ballots it already proposed above.
         let ballot = Ballot::new(self.view, self.node);
         self.promised = self.promised.max(ballot);
-        let mut round = IntraRound::new(batch.clone(), parent, ballot);
+        let mut round = IntraRound::new(self.cluster, batch.clone(), parent, ballot);
         // The primary's own acceptance counts towards the majority.
         round.prepares.insert(self.node);
-        self.intra.insert(d, round);
         // Chain the next proposal after this one even before it commits.
-        let mut parents = BTreeMap::new();
-        parents.insert(self.cluster, parent);
-        self.advance_tail(&Block::batch(batch.clone(), parents));
+        self.advance_tail(&round.block);
+        self.intra.insert(d, round);
         ctx.trace(|| TraceKind::Propose {
             batch: d.short_u64(),
             view: ballot.view,
@@ -133,9 +130,7 @@ impl Replica {
             // can gather its quorum and the cluster converges on one chain;
             // anything else overlapping committed transactions is stale and
             // is dropped.
-            let mut parents = BTreeMap::new();
-            parents.insert(self.cluster, parent);
-            let replay = Block::batch(batch, parents);
+            let replay = intra_block(self.cluster, batch, parent);
             // All-history membership: a truncating ledger no longer holds the
             // payload, but the digest index still answers exactly.
             if self.ledger.knows_block(replay.digest()) {
@@ -175,10 +170,11 @@ impl Replica {
         // transfer it, and start the liveness timer for the in-flight
         // request. A replay under a higher ballot updates the stored ballot
         // and position.
+        let cluster = self.cluster;
         let round = self
             .intra
             .entry(d)
-            .or_insert_with(|| IntraRound::new(batch.clone(), parent, ballot));
+            .or_insert_with(|| IntraRound::new(cluster, batch.clone(), parent, ballot));
         // A replay under a newer ballot voids acceptances gathered under the
         // old one — they endorsed a possibly different chain position.
         if round.ballot != ballot {
@@ -186,13 +182,10 @@ impl Replica {
             round.sent_commit = false;
         }
         round.ballot = ballot;
-        round.parent = parent;
+        round.reposition(cluster, &batch, parent);
+        let block = round.block.clone();
         self.ensure_view_change_timer(ctx);
-        {
-            let mut parents = BTreeMap::new();
-            parents.insert(self.cluster, parent);
-            self.advance_tail(&Block::batch(batch, parents));
-        }
+        self.advance_tail(&block);
         ctx.trace(|| TraceKind::Accept {
             batch: d.short_u64(),
             view: ballot.view,
@@ -239,23 +232,16 @@ impl Replica {
         }
         round.sent_commit = true;
         round.committed = true;
-        let batch = round.batch.clone();
-        let parent = round.parent;
-        let ballot = round.ballot;
+        let block = round.block.clone();
+        let commit = Msg::PaxosCommit {
+            ballot: round.ballot,
+            parent: round.parent(),
+            batch: round.batch().clone(),
+        };
         ctx.trace(|| TraceKind::Commit {
             batch: d.short_u64(),
         });
-        ctx.multicast(
-            self.cluster_peers(),
-            Msg::PaxosCommit {
-                ballot,
-                parent,
-                batch: batch.clone(),
-            },
-        );
-        let mut parents = BTreeMap::new();
-        parents.insert(self.cluster, parent);
-        let block = Block::batch(batch, parents);
+        ctx.multicast(self.cluster_peers(), commit);
         // In the crash model only the primary replies to the clients.
         self.commit_block(ctx, block, true);
     }
@@ -285,15 +271,18 @@ impl Replica {
         // primary; adopt it (the NewView announcement may have been lost).
         self.adopt_view(ballot.view, ctx);
         let d = batch.digest();
-        if let Some(round) = self.intra.get_mut(&d) {
+        // The accepted round already holds this block — unless the commit
+        // names another position than the one this replica accepted (or it
+        // never saw the accept), in which case the block is built from the
+        // commit itself.
+        let accepted = self.intra.get_mut(&d).and_then(|round| {
             round.committed = true;
-        }
+            (round.parent() == parent).then(|| round.block.clone())
+        });
         ctx.trace(|| TraceKind::Commit {
             batch: d.short_u64(),
         });
-        let mut parents = BTreeMap::new();
-        parents.insert(self.cluster, parent);
-        let block = Block::batch(batch, parents);
+        let block = accepted.unwrap_or_else(|| intra_block(self.cluster, batch, parent));
         self.commit_block(ctx, block, false);
     }
 
@@ -349,17 +338,18 @@ impl Replica {
         let sig = self
             .signer
             .sign(&proposal_sign_bytes(self.view, &parent, &d));
-        let mut round = IntraRound::new(batch.clone(), parent, Ballot::new(self.view, self.node));
+        let mut round = IntraRound::new(
+            self.cluster,
+            batch.clone(),
+            parent,
+            Ballot::new(self.view, self.node),
+        );
         // The primary's pre-prepare stands in for its prepare vote; keep its
         // signature so a later view change can prove the round prepared.
         round.prepares.insert(self.node);
         round.prepare_sigs.insert(self.node, sig);
+        self.advance_tail(&round.block);
         self.intra.insert(d, round);
-        {
-            let mut parents = BTreeMap::new();
-            parents.insert(self.cluster, parent);
-            self.advance_tail(&Block::batch(batch.clone(), parents));
-        }
         self.charge_message(ctx, 0, 1);
         ctx.trace(|| TraceKind::Propose {
             batch: d.short_u64(),
@@ -420,9 +410,9 @@ impl Replica {
         let conflicting_lock = self.intra.iter().any(|(other, r)| {
             *other != d
                 && !r.committed
-                && r.parent == parent
+                && r.parent() == parent
                 && r.prepares.len() >= quorum
-                && !r.batch.is_empty()
+                && !r.batch().is_empty()
         });
         if conflicting_lock
             && self
@@ -432,9 +422,10 @@ impl Replica {
         {
             return;
         }
-        {
+        let block = {
+            let cluster = self.cluster;
             let round = self.intra.entry(d).or_insert_with(|| {
-                IntraRound::new(batch.clone(), parent, Ballot::new(view, primary))
+                IntraRound::new(cluster, batch.clone(), parent, Ballot::new(view, primary))
             });
             // A re-proposal under a newer view voids any votes gathered under
             // the old one: they signed different view/parent bytes.
@@ -445,20 +436,16 @@ impl Replica {
                 round.sent_commit = false;
             }
             round.ballot = Ballot::new(view, primary);
-            round.batch = batch.clone();
-            round.parent = parent;
+            round.reposition(cluster, &batch, parent);
             // The pre-prepare carries the primary's implicit prepare; this
             // replica's own prepare is counted when it multicasts below.
             round.prepares.insert(primary);
             round.prepares.insert(self.node);
             round.prepare_sigs.insert(primary, sig);
-        }
+            round.block.clone()
+        };
         self.ensure_view_change_timer(ctx);
-        {
-            let mut parents = BTreeMap::new();
-            parents.insert(self.cluster, parent);
-            self.advance_tail(&Block::batch(batch, parents));
-        }
+        self.advance_tail(&block);
 
         let vote_bytes = vote_sign_bytes(b"prepare", view, &parent, &d);
         let vote_sig = self.signer.sign(&vote_bytes);
@@ -501,10 +488,11 @@ impl Replica {
             return;
         }
         let primary = self.primary_of(self.cluster);
+        let cluster = self.cluster;
         let round = self.intra.entry(d).or_insert_with(|| {
             // Batch not yet known (prepare overtook the pre-prepare); the
             // empty placeholder is replaced when the pre-prepare arrives.
-            IntraRound::new(Batch::empty(), parent, Ballot::new(view, primary))
+            IntraRound::new(cluster, Batch::empty(), parent, Ballot::new(view, primary))
         });
         // Votes only stack with the view the round currently runs under.
         if round.ballot.view != view {
@@ -516,7 +504,7 @@ impl Replica {
     }
 
     fn round_has_payload(round: &IntraRound) -> bool {
-        !round.batch.is_empty()
+        !round.batch().is_empty()
     }
 
     fn try_send_pbft_commit(&mut self, d: Digest, ctx: &mut Context<Msg>) {
@@ -534,7 +522,7 @@ impl Replica {
         }
         round.sent_commit = true;
         round.commits.insert(self.node);
-        let parent = round.parent;
+        let parent = round.parent();
         let bytes = vote_sign_bytes(b"commit", view, &parent, &d);
         let sig = self.signer.sign(&bytes);
         self.charge_message(ctx, 0, 1);
@@ -591,14 +579,10 @@ impl Replica {
             return;
         }
         round.committed = true;
-        let batch = round.batch.clone();
-        let parent = round.parent;
+        let block = round.block.clone();
         ctx.trace(|| TraceKind::Commit {
             batch: d.short_u64(),
         });
-        let mut parents = BTreeMap::new();
-        parents.insert(self.cluster, parent);
-        let block = Block::batch(batch, parents);
         // In PBFT every replica replies; the client waits for f+1 matching
         // replies (Figure 3(b)).
         self.commit_block(ctx, block, true);

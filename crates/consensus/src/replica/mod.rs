@@ -88,13 +88,20 @@ pub struct ReplicaStats {
     pub reshards_applied: usize,
 }
 
+/// The intra-shard block ordering `batch` right after `parent` in
+/// `cluster`'s chain.
+fn intra_block(cluster: ClusterId, batch: Batch, parent: Digest) -> Block {
+    Block::batch(batch, BTreeMap::from([(cluster, parent)]))
+}
+
 /// State of one in-flight intra-shard consensus round.
 #[derive(Debug, Clone)]
 struct IntraRound {
-    /// The batch under agreement (shares its transactions with the message
-    /// plane).
-    batch: Batch,
-    parent: Digest,
+    /// The block under agreement: the batch (sharing its transactions with
+    /// the message plane) chained at the proposed position. Built once, when
+    /// the round is created or re-positioned, and reused by the tail advance
+    /// and the commit — a round never digests the same block twice.
+    block: Block,
     /// The ballot the round was last proposed under (crash: the Paxos
     /// ballot; Byzantine: `(view, primary)` of the proposing view).
     ballot: Ballot,
@@ -113,16 +120,42 @@ struct IntraRound {
 }
 
 impl IntraRound {
-    fn new(batch: Batch, parent: Digest, ballot: Ballot) -> Self {
+    fn new(cluster: ClusterId, batch: Batch, parent: Digest, ballot: Ballot) -> Self {
         Self {
-            batch,
-            parent,
+            block: intra_block(cluster, batch, parent),
             ballot,
             prepares: BTreeSet::new(),
             commits: BTreeSet::new(),
             prepare_sigs: BTreeMap::new(),
             sent_commit: false,
             committed: false,
+        }
+    }
+
+    /// The batch under agreement (empty for a PBFT round whose `prepare`
+    /// overtook its `pre-prepare`).
+    fn batch(&self) -> &Batch {
+        self.block
+            .body_batch()
+            .expect("a round's block carries a batch")
+    }
+
+    /// The chain position the round proposes to fill.
+    fn parent(&self) -> Digest {
+        *self
+            .block
+            .parents
+            .values()
+            .next()
+            .expect("an intra-shard block has one parent")
+    }
+
+    /// Moves the round to the position after `parent` (a replay under a
+    /// newer ballot or view may re-assign it) and fills in a placeholder's
+    /// payload. The block is rebuilt only if either actually changed.
+    fn reposition(&mut self, cluster: ClusterId, batch: &Batch, parent: Digest) {
+        if self.parent() != parent || self.batch().is_empty() {
+            self.block = intra_block(cluster, batch.clone(), parent);
         }
     }
 }
@@ -424,23 +457,6 @@ impl Replica {
         self.ledger.committed_count()
     }
 
-    /// A one-line description of in-flight state, for debugging test runs.
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> String {
-        format!(
-            "view={} reserved={:?} initiating={:?} buffered={} pending_intra={} pending_cross={} intra_open={} cross_open={} deferred={}",
-            self.view,
-            self.reservation.as_ref().map(|r| r.d.short()),
-            self.initiating.as_ref().map(|d| d.short()),
-            self.buffered.len(),
-            self.mempool.intra_len(),
-            self.mempool.cross_len(),
-            self.intra.values().filter(|r| !r.committed).count(),
-            self.cross.values().filter(|r| !r.committed).count(),
-            self.deferred.values().map(|v| v.len()).sum::<usize>(),
-        )
-    }
-
     /// Whether the replica has no in-flight work (used by quiescence checks).
     pub fn is_idle(&self) -> bool {
         self.reservation.is_none()
@@ -600,7 +616,7 @@ impl Replica {
             || self
                 .intra
                 .values()
-                .any(|r| !r.committed && r.batch.contains(id))
+                .any(|r| !r.committed && r.batch().contains(id))
             || self
                 .cross
                 .values()
@@ -919,7 +935,7 @@ impl Replica {
         let committed = &self.committed_txs;
         self.intra.retain(|_, r| {
             !r.committed
-                && (r.batch.is_empty() || !r.batch.tx_ids().all(|id| committed.contains(&id)))
+                && (r.batch().is_empty() || !r.batch().tx_ids().all(|id| committed.contains(&id)))
         });
         self.cross.retain(|_, r| !r.committed);
         self.maybe_cancel_view_change_timer(ctx);

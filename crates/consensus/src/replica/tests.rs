@@ -1394,3 +1394,192 @@ fn replica_constructor_wires_cluster_membership() {
     let p = Replica::with_genesis(NodeId(4), cfg, ACCOUNTS_PER_SHARD, 100);
     assert!(p.is_primary());
 }
+
+// ---------------------------------------------------------------------
+// One block per round: the round's block is built once and reused
+// ---------------------------------------------------------------------
+
+/// Delivers one message to one replica and returns what it sent.
+fn deliver(net: &mut TestNet, from: ActorId, to: u32, msg: Msg) -> Vec<(ActorId, Msg)> {
+    let replica = net.replicas.get_mut(&NodeId(to)).unwrap();
+    let mut ctx = Context::detached(SimTime::from_millis(1), ActorId::Node(NodeId(to)));
+    replica.on_message(from, msg, &mut ctx);
+    ctx.take_outbox()
+}
+
+/// The block a replica of cluster 0 would build from scratch.
+fn fresh_block(batch: &Batch, parent: Digest) -> Block {
+    Block::batch(batch.clone(), BTreeMap::from([(ClusterId(0), parent)]))
+}
+
+fn pre_prepare(cfg: &ReplicaConfig, primary: u32, view: u64, parent: Digest, batch: &Batch) -> Msg {
+    let sig = cfg
+        .registry
+        .signer(node_signer_id(NodeId(primary)))
+        .expect("node key registered")
+        .sign(&crate::messages::proposal_sign_bytes(
+            view,
+            &parent,
+            &batch.digest(),
+        ));
+    Msg::PrePrepare {
+        view,
+        parent,
+        batch: batch.clone(),
+        sig,
+    }
+}
+
+#[test]
+fn the_round_holds_the_block_a_fresh_build_would_give() {
+    for model in [FailureModel::Crash, FailureModel::Byzantine] {
+        let cfg = test_config(model, 1, 1);
+        let mut net = TestNet::new(Arc::clone(&cfg));
+        let genesis = net.replica(0).ledger().head();
+        let tx = intra_tx(0);
+        let batch = Batch::single(tx.clone());
+        let expected = fresh_block(&batch, genesis);
+
+        // The primary creates the round when it proposes ...
+        let request = Msg::Request {
+            tx: Arc::new(tx.clone()),
+            epoch: 0,
+            sig: client_sig(&cfg, &tx),
+        };
+        let proposal = deliver(&mut net, ActorId::Client(tx.client()), 0, request)
+            .into_iter()
+            .find_map(|(_, m)| {
+                matches!(m, Msg::PaxosAccept { .. } | Msg::PrePrepare { .. }).then_some(m)
+            })
+            .expect("the primary proposes");
+        // ... and a backup when it accepts the proposal.
+        deliver(&mut net, ActorId::Node(NodeId(0)), 1, proposal);
+        for node in [0u32, 1] {
+            let replica = net.replica(node);
+            let round = &replica.intra[&batch.digest()];
+            assert_eq!(round.block, expected, "{model:?} replica {node}");
+            assert_eq!(round.parent(), genesis);
+            assert_eq!(round.batch(), &batch);
+            assert_eq!(replica.ordering_tail(), expected.digest());
+        }
+    }
+}
+
+#[test]
+fn paxos_replay_at_another_parent_rebuilds_the_rounds_block() {
+    let cfg = test_config(FailureModel::Crash, 1, 1);
+    let mut net = TestNet::new(cfg);
+    let genesis = net.replica(2).ledger().head();
+    let a = Batch::single(intra_tx(0));
+    let b = Batch::single(intra_tx(1));
+    let a_at_genesis = fresh_block(&a, genesis).digest();
+    let old = Ballot::new(0, NodeId(0));
+    let accept = |ballot, parent, batch: &Batch| Msg::PaxosAccept {
+        ballot,
+        parent,
+        batch: batch.clone(),
+    };
+
+    // View 0 orders A then B; the backup chains both.
+    let n0 = ActorId::Node(NodeId(0));
+    deliver(&mut net, n0, 2, accept(old, genesis, &a));
+    deliver(&mut net, n0, 2, accept(old, a_at_genesis, &b));
+    let stale = fresh_block(&b, a_at_genesis);
+    assert_eq!(net.replica(2).intra[&b.digest()].block, stale);
+    assert_eq!(net.replica(2).ordering_tail(), stale.digest());
+
+    // The view-1 primary replays B right after genesis: same batch, newer
+    // ballot, different position. The round's block must follow.
+    let new = Ballot::new(1, NodeId(1));
+    let n1 = ActorId::Node(NodeId(1));
+    let out = deliver(&mut net, n1, 2, accept(new, genesis, &b));
+    assert!(out
+        .iter()
+        .any(|(_, m)| matches!(m, Msg::PaxosAccepted { ballot, .. } if *ballot == new)));
+    let moved = fresh_block(&b, genesis);
+    assert_ne!(moved.digest(), stale.digest());
+    let round = &net.replica(2).intra[&b.digest()];
+    assert_eq!(round.block, moved);
+    assert_eq!(round.ballot, new);
+    assert_eq!(net.replica(2).ordering_tail(), moved.digest());
+
+    // The commit appends the re-positioned block.
+    let commit = Msg::PaxosCommit {
+        ballot: new,
+        parent: genesis,
+        batch: b.clone(),
+    };
+    deliver(&mut net, n1, 2, commit);
+    assert_eq!(net.replica(2).ledger().head(), moved.digest());
+    assert_eq!(net.replica(2).committed_count(), 1);
+}
+
+#[test]
+fn pbft_replay_at_another_parent_rebuilds_the_rounds_block() {
+    let cfg = test_config(FailureModel::Byzantine, 1, 1);
+    let mut net = TestNet::new(Arc::clone(&cfg));
+    let genesis = net.replica(2).ledger().head();
+    let a = Batch::single(intra_tx(0));
+    let b = Batch::single(intra_tx(1));
+    let a_at_genesis = fresh_block(&a, genesis).digest();
+
+    let n0 = ActorId::Node(NodeId(0));
+    deliver(&mut net, n0, 2, pre_prepare(&cfg, 0, 0, genesis, &a));
+    deliver(&mut net, n0, 2, pre_prepare(&cfg, 0, 0, a_at_genesis, &b));
+    let stale = fresh_block(&b, a_at_genesis);
+    assert_eq!(net.replica(2).intra[&b.digest()].block, stale);
+
+    // View 1 (primary n1) re-proposes B right after genesis.
+    {
+        let backup = net.replicas.get_mut(&NodeId(2)).unwrap();
+        let mut ctx = Context::detached(SimTime::from_millis(1), ActorId::Node(NodeId(2)));
+        backup.install_view(1, &mut ctx);
+    }
+    let n1 = ActorId::Node(NodeId(1));
+    let out = deliver(&mut net, n1, 2, pre_prepare(&cfg, 1, 1, genesis, &b));
+    assert!(out.iter().any(|(_, m)| matches!(
+        m,
+        Msg::Prepare { view: 1, parent, .. } if *parent == genesis
+    )));
+    let moved = fresh_block(&b, genesis);
+    let round = &net.replica(2).intra[&b.digest()];
+    assert_eq!(round.block, moved);
+    assert_eq!(round.ballot, Ballot::new(1, NodeId(1)));
+    assert_eq!(net.replica(2).ordering_tail(), moved.digest());
+}
+
+#[test]
+fn a_commit_naming_another_parent_does_not_reuse_the_accepted_block() {
+    let cfg = test_config(FailureModel::Crash, 1, 1);
+    let mut net = TestNet::new(cfg);
+    let genesis = net.replica(2).ledger().head();
+    let a = Batch::single(intra_tx(0));
+    let b = Batch::single(intra_tx(1));
+    let a_at_genesis = fresh_block(&a, genesis).digest();
+    let ballot = Ballot::new(0, NodeId(0));
+    let n0 = ActorId::Node(NodeId(0));
+    for (parent, batch) in [(genesis, &a), (a_at_genesis, &b)] {
+        let accept = Msg::PaxosAccept {
+            ballot,
+            parent,
+            batch: batch.clone(),
+        };
+        deliver(&mut net, n0, 2, accept);
+    }
+    assert_eq!(net.replica(2).intra[&b.digest()].parent(), a_at_genesis);
+
+    // B is decided right after genesis, not where this replica accepted it.
+    // The accepted block (B after A) would park forever behind a parent that
+    // never commits; the commit's own position must win.
+    let commit = Msg::PaxosCommit {
+        ballot,
+        parent: genesis,
+        batch: b.clone(),
+    };
+    deliver(&mut net, n0, 2, commit);
+    assert_eq!(
+        net.replica(2).ledger().head(),
+        fresh_block(&b, genesis).digest()
+    );
+    assert_eq!(net.replica(2).committed_count(), 1);
+}

@@ -152,11 +152,11 @@ impl Replica {
         let mut rounds: Vec<AcceptedRound> = self
             .intra
             .values()
-            .filter(|round| !round.committed && !round.batch.is_empty())
+            .filter(|round| !round.committed && !round.batch().is_empty())
             .map(|round| AcceptedRound {
                 ballot: round.ballot,
-                parent: round.parent,
-                batch: round.batch.clone(),
+                parent: round.parent(),
+                batch: round.batch().clone(),
             })
             .collect();
         rounds.sort_by_key(|r| (r.ballot, r.parent, r.batch.digest()));
@@ -177,12 +177,12 @@ impl Replica {
             .intra
             .values()
             .filter(|round| {
-                !round.committed && !round.batch.is_empty() && round.prepare_sigs.len() >= quorum
+                !round.committed && !round.batch().is_empty() && round.prepare_sigs.len() >= quorum
             })
             .map(|round| PreparedCert {
                 view: round.ballot.view,
-                parent: round.parent,
-                batch: round.batch.clone(),
+                parent: round.parent(),
+                batch: round.batch().clone(),
                 sigs: QuorumCert::from_signatures(round.prepare_sigs.values().copied()),
             })
             .collect();
@@ -542,7 +542,7 @@ impl Replica {
         let committed = &self.committed_txs;
         self.intra.retain(|_, r| {
             r.committed
-                || (!r.batch.is_empty() && !r.batch.tx_ids().all(|id| committed.contains(&id)))
+                || (!r.batch().is_empty() && !r.batch().tx_ids().all(|id| committed.contains(&id)))
         });
         if self.initiating.is_some() {
             self.initiating = None;

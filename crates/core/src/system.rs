@@ -292,7 +292,8 @@ impl SharperSystem {
         let window = duration.saturating_since(self.params.warmup);
         let summary = self.stats.summarize(self.params.warmup, window);
 
-        let mut views: Vec<(ClusterId, LedgerView)> = Vec::new();
+        // The audit reads every replica's view where it lives.
+        let mut views: Vec<(ClusterId, &LedgerView)> = Vec::new();
         let mut replica_stats = Vec::new();
         let mut client_completed = 0usize;
         let mut retransmissions = 0usize;
@@ -304,7 +305,7 @@ impl SharperSystem {
         for actor in self.sim.actors() {
             match actor {
                 SharperActor::Replica(r) => {
-                    views.push((r.cluster(), r.ledger().clone()));
+                    views.push((r.cluster(), r.ledger()));
                     replica_stats.push((r.node(), r.stats()));
                     // Mempool ingestion metrics: sums / maxima over replicas,
                     // wait percentiles over the merged per-replica histograms
@@ -825,44 +826,5 @@ mod tests {
         assert!(system.replica(NodeId(99)).is_none());
         assert!(system.client(ClientId(1)).is_some());
         assert_eq!(system.config().system.cluster_count(), 2);
-    }
-}
-
-#[cfg(test)]
-mod debug_tests {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn debug_crash_run() {
-        let mut params = SystemParams::new(FailureModel::Crash, 2, 1);
-        params.accounts_per_shard = 1_000;
-        params.warmup = SimTime::from_millis(100);
-        let mut system = SharperSystem::build(params, 4, |client| {
-            workload_with(client, 2, 1_000, 200, 0.2, 2)
-        });
-        let report = system.run(SimTime::from_secs(3));
-        println!(
-            "completed={} retrans={} summary={:?}",
-            report.client_completed, report.retransmissions, report.summary
-        );
-        println!("sim={:?}", report.simulation);
-        for (n, s) in &report.replica_stats {
-            println!("{n}: {s:?}");
-        }
-        for n in 0..6u32 {
-            let r = system.replica(NodeId(n)).unwrap();
-            println!("{n}: {}", r.debug_state());
-        }
-        let samples = system.stats().recent_samples();
-        for s in samples.iter().take(40) {
-            println!(
-                "tx={} cross={} sub={} lat={:.1}ms",
-                s.tx,
-                s.cross_shard,
-                s.submitted_at,
-                s.latency().as_millis_f64()
-            );
-        }
     }
 }

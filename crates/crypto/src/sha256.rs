@@ -86,16 +86,20 @@ impl Sha256 {
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
 
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update_padding(0x80);
-        while self.buf_len != 56 {
-            self.update_padding(0x00);
+        // Padding: 0x80, zeros up to byte 56 of the last block, then the
+        // 64-bit big-endian length — written in place, in one step. When the
+        // buffered tail leaves no room for the length, the zero fill runs to
+        // the end of this block and the length goes into one more.
+        let mut block = self.buf;
+        let used = self.buf_len;
+        block[used] = 0x80;
+        block[used + 1..].fill(0);
+        if used + 1 > 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        let len_bytes = bit_len.to_be_bytes();
-        for b in len_bytes {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buf_len, 0);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -109,16 +113,6 @@ impl Sha256 {
         let mut h = Self::new();
         h.update(data);
         h.finalize()
-    }
-
-    fn update_padding(&mut self, byte: u8) {
-        self.buf[self.buf_len] = byte;
-        self.buf_len += 1;
-        if self.buf_len == 64 {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
-        }
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -176,6 +170,46 @@ mod tests {
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The byte-at-a-time padding `finalize` used to do, kept as the
+    /// reference the one-step padding is compared against.
+    fn finalize_bytewise(mut h: Sha256) -> [u8; 32] {
+        fn pad(h: &mut Sha256, byte: u8) {
+            h.buf[h.buf_len] = byte;
+            h.buf_len += 1;
+            if h.buf_len == 64 {
+                let block = h.buf;
+                h.compress(&block);
+                h.buf_len = 0;
+            }
+        }
+        let bit_len = h.len.wrapping_mul(8);
+        pad(&mut h, 0x80);
+        while h.buf_len != 56 {
+            pad(&mut h, 0x00);
+        }
+        for b in bit_len.to_be_bytes() {
+            pad(&mut h, b);
+        }
+        assert_eq!(h.buf_len, 0);
+        let mut out = [0u8; 32];
+        for (i, word) in h.state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn one_step_padding_matches_bytewise_reference_for_every_length() {
+        // 0..=200 covers every tail length twice over, including 55/56/63/64
+        // where the length field does or does not fit the last block.
+        let data: Vec<u8> = (0..=200u8).map(|b| b.wrapping_mul(31) ^ 0x5a).collect();
+        for len in 0..=200usize {
+            let mut h = Sha256::new();
+            h.update(&data[..len]);
+            assert_eq!(h.clone().finalize(), finalize_bytewise(h), "length {len}");
+        }
     }
 
     #[test]

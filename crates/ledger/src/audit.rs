@@ -18,6 +18,7 @@
 use crate::dag::DagLedger;
 use crate::view::LedgerView;
 use sharper_common::{ClusterId, Error, Result};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Summary of a successful audit.
@@ -36,10 +37,13 @@ pub struct AuditReport {
 /// Audits a set of per-cluster views (one representative view per cluster).
 ///
 /// Returns an [`AuditReport`] on success and the first violation found
-/// otherwise.
-pub fn audit_views(views: &[LedgerView]) -> Result<AuditReport> {
+/// otherwise. The views are only read, so owned and borrowed views audit
+/// alike.
+pub fn audit_views<V: Borrow<LedgerView>>(views: &[V]) -> Result<AuditReport> {
+    let views: Vec<&LedgerView> = views.iter().map(Borrow::borrow).collect();
+
     // 1. Chain validity of every view.
-    for view in views {
+    for view in &views {
         view.verify_chain()?;
     }
 
@@ -47,8 +51,10 @@ pub fn audit_views(views: &[LedgerView]) -> Result<AuditReport> {
     //    same block everywhere (same parents, same batch, same digest): the
     //    cross-shard commit message distributes one block to all involved
     //    clusters.
-    let mut tx_digest: HashMap<sharper_common::TxId, sharper_crypto::Digest> = HashMap::new();
-    for view in views {
+    let committed = views.iter().map(|v| v.committed_count()).sum();
+    let mut tx_digest: HashMap<sharper_common::TxId, sharper_crypto::Digest> =
+        HashMap::with_capacity(committed);
+    for view in &views {
         for block in view.blocks() {
             for tx in block.tx_ids() {
                 match tx_digest.get(&tx) {
@@ -67,7 +73,7 @@ pub fn audit_views(views: &[LedgerView]) -> Result<AuditReport> {
     }
 
     // 3. Pairwise agreement on the relative order of shared transactions.
-    let dag = DagLedger::union(views);
+    let dag = DagLedger::union(&views);
     if !dag.is_acyclic() {
         return Err(Error::SafetyViolation(
             "the union ledger contains a cycle".into(),
@@ -115,7 +121,8 @@ pub fn audit_views(views: &[LedgerView]) -> Result<AuditReport> {
 
     Ok(AuditReport {
         views: views.len(),
-        distinct_transactions: dag.transaction_count(),
+        // Step 2 keyed every committed transaction of every view once.
+        distinct_transactions: tx_digest.len(),
         cross_shard_transactions: cross,
         compared_pairs,
     })
@@ -167,20 +174,22 @@ pub fn check_replica_agreement(cluster: ClusterId, replicas: &[&LedgerView]) -> 
 
 /// Groups replica views by cluster and checks both replica agreement within
 /// each cluster and cross-cluster order agreement using one representative
-/// view per cluster. This is the one-call audit used after full-system runs.
-pub fn audit_replica_views(views: &[(ClusterId, LedgerView)]) -> Result<AuditReport> {
+/// view per cluster. This is the one-call audit used after full-system runs;
+/// it reads the views where they are (a finished deployment lends its
+/// replicas' views, tests and tools may pass owned ones).
+pub fn audit_replica_views<V: Borrow<LedgerView>>(views: &[(ClusterId, V)]) -> Result<AuditReport> {
     let mut by_cluster: HashMap<ClusterId, Vec<&LedgerView>> = HashMap::new();
     for (cluster, view) in views {
-        by_cluster.entry(*cluster).or_default().push(view);
+        by_cluster.entry(*cluster).or_default().push(view.borrow());
     }
-    let mut representatives = Vec::new();
+    let mut representatives: Vec<&LedgerView> = Vec::new();
     for (cluster, replicas) in &by_cluster {
         check_replica_agreement(*cluster, replicas)?;
         let longest = replicas
             .iter()
             .max_by_key(|v| v.len())
             .expect("non-empty group");
-        representatives.push((*longest).clone());
+        representatives.push(longest);
     }
     representatives.sort_by_key(|v| v.cluster());
     audit_views(&representatives)
@@ -362,5 +371,55 @@ mod tests {
                 .unwrap();
         assert_eq!(report.views, 2);
         assert_eq!(report.distinct_transactions, 1);
+    }
+
+    /// The replica audit over owned views and over the same views lent by
+    /// reference: same report, same error.
+    fn audit_both_ways(views: Vec<(ClusterId, LedgerView)>) -> Result<AuditReport> {
+        let owned = audit_replica_views(&views);
+        let lent: Vec<(ClusterId, &LedgerView)> = views.iter().map(|(c, v)| (*c, v)).collect();
+        assert_eq!(owned, audit_replica_views(&lent));
+        owned
+    }
+
+    #[test]
+    fn replica_audit_is_the_same_over_borrowed_and_owned_views() {
+        // Agreeing replicas of two clusters sharing one cross-shard block.
+        let mut a0 = LedgerView::new(ClusterId(0));
+        let mut b0 = LedgerView::new(ClusterId(1));
+        a0.append(intra(&a0, tx(1, 0))).unwrap();
+        let shared = cross(&[&a0, &b0], tx(3, 0));
+        a0.append(shared.clone()).unwrap();
+        b0.append(shared).unwrap();
+        let a1 = a0.clone();
+        let report = audit_both_ways(vec![
+            (ClusterId(0), a0.clone()),
+            (ClusterId(0), a1.clone()),
+            (ClusterId(1), b0.clone()),
+        ])
+        .unwrap();
+        assert_eq!(report.views, 2);
+        assert_eq!(report.distinct_transactions, 2);
+        assert_eq!(report.cross_shard_transactions, 1);
+
+        // Diverging replicas: the second replica of cluster 0 forks.
+        let mut fork = a0.clone();
+        fork.append(intra(&fork, tx(9, 9))).unwrap();
+        a0.append(intra(&a0, tx(1, 1))).unwrap();
+        let err = audit_both_ways(vec![
+            (ClusterId(0), a0),
+            (ClusterId(0), fork),
+            (ClusterId(1), b0),
+        ])
+        .unwrap_err();
+        assert!(matches!(err, Error::SafetyViolation(_)));
+
+        // One transaction committed as two different blocks in two clusters.
+        let mut v0 = LedgerView::new(ClusterId(0));
+        let mut v1 = LedgerView::new(ClusterId(1));
+        v0.append(intra(&v0, tx(5, 0))).unwrap();
+        v1.append(intra(&v1, tx(5, 0))).unwrap();
+        let err = audit_both_ways(vec![(ClusterId(0), v0), (ClusterId(1), v1)]).unwrap_err();
+        assert!(matches!(err, Error::SafetyViolation(_)));
     }
 }

@@ -107,6 +107,10 @@ impl Batch {
     /// root), and a double-carried transaction would otherwise execute
     /// twice.
     pub fn has_duplicate_tx_ids(&self) -> bool {
+        // Fewer than two transactions cannot repeat one: no set is built.
+        if self.txs.len() < 2 {
+            return false;
+        }
         let mut seen = std::collections::HashSet::with_capacity(self.txs.len());
         self.txs.iter().any(|tx| !seen.insert(tx.id))
     }

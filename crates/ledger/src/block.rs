@@ -10,7 +10,7 @@
 use crate::batch::Batch;
 use serde::{Deserialize, Serialize};
 use sharper_common::{ClusterId, TxId};
-use sharper_crypto::{hash_parts, Digest};
+use sharper_crypto::{Digest, Sha256};
 use sharper_state::Transaction;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -153,30 +153,28 @@ impl Block {
     }
 
     fn compute_digest(parents: &BTreeMap<ClusterId, Digest>, body: &BlockBody) -> Digest {
-        let mut parts: Vec<Vec<u8>> = Vec::with_capacity(3 + parents.len() * 2);
-        parts.push(b"sharper-block".to_vec());
+        // Every field streams straight into the hasher: a digest is computed
+        // for every block built, appended and audited, so it allocates nothing.
+        let mut h = Sha256::new();
+        h.update(b"sharper-block");
         for (cluster, parent) in parents {
-            parts.push(cluster.0.to_le_bytes().to_vec());
-            parts.push(parent.as_bytes().to_vec());
+            h.update(&cluster.0.to_le_bytes());
+            h.update(parent.as_bytes());
         }
         match body {
-            BlockBody::Genesis => parts.push(b"genesis-lambda".to_vec()),
+            BlockBody::Genesis => h.update(b"genesis-lambda"),
             BlockBody::Batch(batch) => {
                 // The cached root keeps block construction O(1) in batch
                 // size; it is safe to trust here because verify_integrity
                 // first re-derives the root from the transactions
                 // (Batch::verify_root), so a batch whose contents were
                 // swapped under a stale cached root can never verify.
-                let root = batch.digest();
-                let mut encoded = Vec::with_capacity(8 + 8 + 32);
-                encoded.extend_from_slice(b"batch:");
-                encoded.extend_from_slice(&(batch.len() as u64).to_le_bytes());
-                encoded.extend_from_slice(root.as_bytes());
-                parts.push(encoded);
+                h.update(b"batch:");
+                h.update(&(batch.len() as u64).to_le_bytes());
+                h.update(batch.digest().as_bytes());
             }
         }
-        let slices: Vec<&[u8]> = parts.iter().map(|p| p.as_slice()).collect();
-        hash_parts(&slices)
+        Digest(h.finalize())
     }
 }
 
@@ -253,6 +251,34 @@ mod tests {
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a.digest(), c.digest());
         assert_ne!(a.digest(), d.digest());
+    }
+
+    #[test]
+    fn streamed_digest_equals_the_hash_of_the_concatenated_fields() {
+        // The digest format, spelled out part by part as the reference.
+        let g = Block::genesis();
+        assert_eq!(
+            g.digest(),
+            sharper_crypto::hash_parts(&[b"sharper-block", b"genesis-lambda"])
+        );
+        let mut parents = BTreeMap::new();
+        parents.insert(ClusterId(0), g.digest());
+        parents.insert(ClusterId(2), Digest::ZERO);
+        let batch = Batch::new(vec![Arc::new(tx(0)), Arc::new(tx(1))]);
+        let b = Block::batch(batch.clone(), parents);
+        assert_eq!(
+            b.digest(),
+            sharper_crypto::hash_parts(&[
+                b"sharper-block",
+                &0u32.to_le_bytes(),
+                g.digest().as_bytes(),
+                &2u32.to_le_bytes(),
+                Digest::ZERO.as_bytes(),
+                b"batch:",
+                &2u64.to_le_bytes(),
+                batch.digest().as_bytes(),
+            ])
+        );
     }
 
     #[test]

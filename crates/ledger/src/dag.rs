@@ -11,32 +11,35 @@ use crate::block::Block;
 use crate::view::LedgerView;
 use sharper_common::{ClusterId, TxId};
 use sharper_crypto::Digest;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The union of all cluster views: the paper's Figure 2(a) object.
+///
+/// The union borrows its blocks from the views it was built over — it is an
+/// analysis object that lives for the length of one audit, and a run's views
+/// hold every block already.
 #[derive(Debug, Clone)]
-pub struct DagLedger {
+pub struct DagLedger<'a> {
     /// All distinct blocks, keyed by digest.
-    blocks: HashMap<Digest, Block>,
+    blocks: HashMap<Digest, &'a Block>,
     /// For every cluster, the ordered list of block digests of its view.
     orders: BTreeMap<ClusterId, Vec<Digest>>,
 }
 
-impl DagLedger {
+impl<'a> DagLedger<'a> {
     /// Builds the union of the given views.
     ///
     /// Identical blocks appearing in several views (cross-shard blocks) are
     /// deduplicated by digest.
-    pub fn union(views: &[LedgerView]) -> Self {
-        let mut blocks = HashMap::new();
+    pub fn union(views: &[&'a LedgerView]) -> Self {
+        let retained = views.iter().map(|v| v.retained_blocks()).sum();
+        let mut blocks = HashMap::with_capacity(retained);
         let mut orders = BTreeMap::new();
         for view in views {
             let mut order = Vec::with_capacity(view.retained_blocks());
             for block in view.blocks() {
                 order.push(block.digest());
-                blocks
-                    .entry(block.digest())
-                    .or_insert_with(|| block.clone());
+                blocks.entry(block.digest()).or_insert(block);
             }
             orders.insert(view.cluster(), order);
         }
@@ -63,8 +66,8 @@ impl DagLedger {
     }
 
     /// A block by digest.
-    pub fn block(&self, digest: Digest) -> Option<&Block> {
-        self.blocks.get(&digest)
+    pub fn block(&self, digest: Digest) -> Option<&'a Block> {
+        self.blocks.get(&digest).copied()
     }
 
     /// Whether a transaction is committed anywhere in the DAG.
@@ -98,32 +101,33 @@ impl DagLedger {
         // we actually know about (parents outside the union are roots).
         // Blocks are keyed by their index digest (the key under which they
         // were stored), which also covers forged entries whose stored digest
-        // no longer matches their contents.
-        let mut indegree: HashMap<Digest, usize> = self.blocks.keys().map(|d| (*d, 0)).collect();
-        let mut children: HashMap<Digest, Vec<Digest>> = HashMap::new();
-        for (key, block) in &self.blocks {
+        // no longer matches their contents. Each block gets a dense number so
+        // degrees and child lists are plain vectors.
+        let number: HashMap<&Digest, usize> = self
+            .blocks
+            .keys()
+            .enumerate()
+            .map(|(i, key)| (key, i))
+            .collect();
+        let mut indegree = vec![0usize; number.len()];
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); number.len()];
+        // (A map that is not modified iterates in the same order every time.)
+        for (child, block) in self.blocks.values().enumerate() {
             for parent in block.parents.values() {
-                if self.blocks.contains_key(parent) {
-                    *indegree.get_mut(key).expect("present") += 1;
-                    children.entry(*parent).or_default().push(*key);
+                if let Some(&parent) = number.get(parent) {
+                    indegree[child] += 1;
+                    children[parent].push(child);
                 }
             }
         }
-        let mut queue: VecDeque<Digest> = indegree
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(d, _)| *d)
-            .collect();
+        let mut ready: Vec<usize> = (0..number.len()).filter(|&i| indegree[i] == 0).collect();
         let mut visited = 0usize;
-        while let Some(d) = queue.pop_front() {
+        while let Some(block) = ready.pop() {
             visited += 1;
-            if let Some(kids) = children.get(&d) {
-                for k in kids {
-                    let e = indegree.get_mut(k).expect("present");
-                    *e -= 1;
-                    if *e == 0 {
-                        queue.push_back(*k);
-                    }
+            for &child in &children[block] {
+                indegree[child] -= 1;
+                if indegree[child] == 0 {
+                    ready.push(child);
                 }
             }
         }
@@ -188,7 +192,7 @@ mod tests {
     #[test]
     fn union_deduplicates_shared_blocks() {
         let (v0, v1) = two_cluster_dag();
-        let dag = DagLedger::union(&[v0, v1]);
+        let dag = DagLedger::union(&[&v0, &v1]);
         // genesis + 2 intra of p0 + 1 intra of p1 + 1 cross = 5 blocks.
         assert_eq!(dag.block_count(), 5);
         assert_eq!(dag.transaction_count(), 4);
@@ -199,7 +203,7 @@ mod tests {
     fn union_preserves_per_cluster_order() {
         let (v0, v1) = two_cluster_dag();
         let heads: Vec<Digest> = v0.blocks().map(|b| b.digest()).collect();
-        let dag = DagLedger::union(&[v0, v1]);
+        let dag = DagLedger::union(&[&v0, &v1]);
         assert_eq!(dag.order_of(ClusterId(0)).unwrap(), heads.as_slice());
         assert!(dag.order_of(ClusterId(7)).is_none());
     }
@@ -207,7 +211,7 @@ mod tests {
     #[test]
     fn dag_is_acyclic_and_edges_point_to_parents() {
         let (v0, v1) = two_cluster_dag();
-        let dag = DagLedger::union(&[v0, v1]);
+        let dag = DagLedger::union(&[&v0, &v1]);
         assert!(dag.is_acyclic());
         // genesis has no parents; each intra block 1 edge; cross block 2.
         assert_eq!(dag.edges().len(), 3 + 2);
@@ -216,7 +220,7 @@ mod tests {
     #[test]
     fn shared_blocks_between_clusters() {
         let (v0, v1) = two_cluster_dag();
-        let dag = DagLedger::union(&[v0.clone(), v1]);
+        let dag = DagLedger::union(&[&v0, &v1]);
         let shared = dag.shared_blocks(ClusterId(0), ClusterId(1));
         // genesis + the one cross-shard block.
         assert_eq!(shared.len(), 2);
@@ -236,14 +240,14 @@ mod tests {
         let b2 = intra(&v, tx(1, 1));
         v.append(b2.clone()).unwrap();
 
-        let mut dag = DagLedger::union(&[v]);
+        let mut dag = DagLedger::union(&[&v]);
         // Corrupt the stored copy of b1 to point at b2, closing a cycle.
         let forged = {
             let mut parents = BTreeMap::new();
             parents.insert(ClusterId(0), b2.digest());
             Block::transaction(tx(1, 0), parents)
         };
-        dag.blocks.insert(b1.digest(), forged);
+        dag.blocks.insert(b1.digest(), &forged);
         assert!(!dag.is_acyclic());
     }
 }

@@ -27,6 +27,7 @@ use crate::block::Block;
 use serde::{Deserialize, Serialize};
 use sharper_common::{ClusterId, Error, LedgerConfig, Result, TxId};
 use sharper_crypto::{hash_parts, Digest};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Domain separator for the rolling checkpoint digest chain.
@@ -193,16 +194,25 @@ impl LedgerView {
                 block.digest()
             )));
         }
-        for tx_id in block.tx_ids() {
-            if self.tx_index.contains_key(&tx_id) {
-                return Err(Error::ProtocolViolation(format!(
-                    "transaction {tx_id} is already committed in this view"
-                )));
-            }
-        }
+        // One walk over the ids: each is looked up and claimed in the same
+        // probe. The ids are distinct (checked above), so on a collision
+        // exactly the ids claimed so far are released and the view is left
+        // as it was.
         let height = self.len();
-        for tx_id in block.tx_ids() {
-            self.tx_index.insert(tx_id, height);
+        for (claimed, tx_id) in block.tx_ids().enumerate() {
+            match self.tx_index.entry(tx_id) {
+                Entry::Vacant(slot) => {
+                    slot.insert(height);
+                }
+                Entry::Occupied(_) => {
+                    for earlier in block.tx_ids().take(claimed) {
+                        self.tx_index.remove(&earlier);
+                    }
+                    return Err(Error::ProtocolViolation(format!(
+                        "transaction {tx_id} is already committed in this view"
+                    )));
+                }
+            }
         }
         self.index.insert(block.digest(), height);
         self.blocks.push(block);
@@ -573,6 +583,26 @@ mod tests {
         let err = v.verify_chain().unwrap_err();
         assert!(matches!(err, Error::IntegrityViolation(_)));
         assert!(crate::audit::audit_views(std::slice::from_ref(&v)).is_err());
+    }
+
+    #[test]
+    fn a_tampered_batch_fails_the_replica_audit_borrowed_and_owned_alike() {
+        use crate::audit::audit_replica_views;
+        use crate::batch::Batch;
+        use std::sync::Arc;
+        let mut v = LedgerView::new(ClusterId(0));
+        let honest = Batch::new(vec![Arc::new(tx(1, 0)), Arc::new(tx(1, 1))]);
+        let mut parents = BTreeMap::new();
+        parents.insert(ClusterId(0), v.head());
+        v.append(Block::batch(honest.clone(), parents)).unwrap();
+        let mut forged_txs = honest.txs().to_vec();
+        forged_txs[0] = Arc::new(tx(9, 9));
+        v.blocks[1].body =
+            crate::block::BlockBody::Batch(Batch::with_claimed_root(forged_txs, honest.digest()));
+
+        let lent = audit_replica_views(&[(ClusterId(0), &v)]).unwrap_err();
+        assert!(matches!(lent, Error::IntegrityViolation(_)));
+        assert_eq!(lent, audit_replica_views(&[(ClusterId(0), v)]).unwrap_err());
     }
 
     #[test]

@@ -56,6 +56,48 @@ impl From<ClientId> for ActorId {
     }
 }
 
+/// A map from [`ActorId`] to `T`, stored as two tables indexed by the raw
+/// node / client id. Deployments number their replicas and clients densely
+/// from zero, so a lookup — the simulator does several per event — is an
+/// array read, not a hash. Ids that were never inserted read as `None`.
+#[derive(Debug, Clone)]
+pub(crate) struct ActorTable<T> {
+    nodes: Vec<Option<T>>,
+    clients: Vec<Option<T>>,
+}
+
+impl<T> Default for ActorTable<T> {
+    fn default() -> Self {
+        Self {
+            nodes: Vec::new(),
+            clients: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> ActorTable<T> {
+    /// Maps `actor` to `value`, returning the value it replaces.
+    pub(crate) fn insert(&mut self, actor: ActorId, value: T) -> Option<T> {
+        let (table, raw) = match actor {
+            ActorId::Node(n) => (&mut self.nodes, u64::from(n.0)),
+            ActorId::Client(c) => (&mut self.clients, c.0),
+        };
+        let raw = usize::try_from(raw).expect("actor ids index a table");
+        if table.len() <= raw {
+            table.resize(raw + 1, None);
+        }
+        table[raw].replace(value)
+    }
+
+    pub(crate) fn get(&self, actor: ActorId) -> Option<T> {
+        let (table, raw) = match actor {
+            ActorId::Node(n) => (&self.nodes, u64::from(n.0)),
+            ActorId::Client(c) => (&self.clients, c.0),
+        };
+        *table.get(usize::try_from(raw).ok()?)?
+    }
+}
+
 /// Handle of a pending timer, returned by [`Context::set_timer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(pub u64);

@@ -36,7 +36,7 @@
 //! golden-seed suite exercises this equivalence as the correctness oracle
 //! for the scheduler itself.
 
-use crate::actor::{Actor, ActorId, Context, Outgoing, TimerId};
+use crate::actor::{Actor, ActorId, ActorTable, Context, Outgoing, TimerId};
 use crate::faults::FaultPlan;
 use crate::topology::Topology;
 use crate::wheel::{EventKey, EventWheel};
@@ -45,7 +45,7 @@ use rand_chacha::ChaCha8Rng;
 use sharper_common::{
     ClusterId, Duration, LatencyModel, LinkKind, SimTime, ThreadMode, TraceEvent,
 };
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
@@ -165,21 +165,32 @@ fn mix_seed(seed: u64, rank: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Where a registered actor lives once the run has started: its lane and
+/// its index in that lane's actor vector.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    lane: usize,
+    index: usize,
+}
+
 /// Read-only configuration shared by all lanes during a run.
 struct SharedCfg {
     topology: Topology,
     latency: LatencyModel,
     faults: FaultPlan,
-    /// Which lane owns each registered actor (unknown actors route to 0).
-    assignment: HashMap<ActorId, usize>,
+    /// The slot of each registered actor, assigned by `start()`. Ids nobody
+    /// registered — protocols may address replicas that were never built —
+    /// have none.
+    directory: ActorTable<Slot>,
     /// Whether handlers record trace events (observation only: toggling this
     /// never changes simulation results).
     tracing: bool,
 }
 
 impl SharedCfg {
+    /// The lane that owns `actor` (unknown actors route to lane 0).
     fn lane_of(&self, actor: ActorId) -> usize {
-        self.assignment.get(&actor).copied().unwrap_or(0)
+        self.directory.get(actor).map_or(0, |slot| slot.lane)
     }
 }
 
@@ -188,12 +199,18 @@ impl SharedCfg {
 /// makes lane-parallel execution free of shared mutable state.
 struct ActorSlot<M, A> {
     actor: A,
+    id: ActorId,
     rank: u64,
     /// This actor's private randomness stream (handler seeds and the fault/
     /// jitter draws of the messages it sends).
     rng: ChaCha8Rng,
     /// Sequence counter keying the events this actor emits.
     emit_seq: u64,
+    /// Last scheduled arrival on each outgoing link, enforcing FIFO links.
+    /// Keyed by the receiver, which need not be a registered actor. An actor
+    /// talks to few peers, so the map stays small; a table over all actors
+    /// per sender would not (a deployment may hold 100 000 clients).
+    link_clock: BTreeMap<ActorId, SimTime>,
     /// Sequence counter stamping the trace events this actor records. Kept
     /// separate from `emit_seq` so enabling tracing never consumes message
     /// keys — which would reorder events and change results.
@@ -207,12 +224,15 @@ struct ActorSlot<M, A> {
 }
 
 impl<M, A> ActorSlot<M, A> {
-    fn new(actor: A, rank: u64, seed: u64) -> Self {
+    fn new(id: ActorId, actor: A, seed: u64) -> Self {
+        let rank = rank_of(id);
         Self {
             actor,
+            id,
             rank,
             rng: ChaCha8Rng::seed_from_u64(mix_seed(seed, rank)),
             emit_seq: 0,
+            link_clock: BTreeMap::new(),
             trace_seq: 0,
             next_timer: 0,
             busy_until: SimTime::ZERO,
@@ -222,28 +242,20 @@ impl<M, A> ActorSlot<M, A> {
         }
     }
 
-    /// The key for the next event this actor emits.
+    /// The `(rank, seq)` key for the next event this actor emits — the single
+    /// definition of the key format the determinism contract rests on.
     fn next_key(&mut self) -> EventKey {
-        emit_key(self.rank, &mut self.emit_seq)
+        let key = (self.rank, self.emit_seq);
+        self.emit_seq += 1;
+        key
     }
 }
 
-/// Mints the next `(rank, seq)` event key from an actor's emit counter — the
-/// single definition of the key format the determinism contract rests on
-/// (callers that hold a split borrow of `ActorSlot` use it directly).
-fn emit_key(rank: u64, emit_seq: &mut u64) -> EventKey {
-    let key = (rank, *emit_seq);
-    *emit_seq += 1;
-    key
-}
-
-/// The event plumbing of one lane, split from the actor map so handler
+/// The event plumbing of one lane, split from the actors so handler
 /// dispatch can borrow an actor and the queues simultaneously.
 struct LaneIo<M> {
     index: usize,
     queue: EventWheel<EventKind<M>>,
-    /// Last scheduled arrival per (from, to) link, enforcing FIFO links.
-    link_clock: HashMap<(ActorId, ActorId), SimTime>,
     /// Events produced for other lanes, flushed by the driver.
     outbound: Vec<(usize, Routed<M>)>,
     counters: SimulationReport,
@@ -264,21 +276,19 @@ impl<M: Clone> LaneIo<M> {
         }
     }
 
-    /// Sends `msg` from `from` (whose rng/sequence state is passed in) to
-    /// `to`, applying sender-side faults, latency, jitter and the FIFO link
-    /// clamp. All randomness comes from the sender's private stream, so the
+    /// Sends `msg` from `sender` to `to`, applying sender-side faults,
+    /// latency, jitter and the FIFO link clamp. All randomness, the event
+    /// keys and the link clocks come from the sender's private state, so the
     /// outcome is independent of global event interleaving.
-    #[allow(clippy::too_many_arguments)]
-    fn send_message(
+    fn send_message<A>(
         &mut self,
         shared: &SharedCfg,
-        rng: &mut ChaCha8Rng,
-        key_seq: &mut dyn FnMut() -> EventKey,
-        from: ActorId,
+        sender: &mut ActorSlot<M, A>,
         to: ActorId,
         msg: M,
         departure: SimTime,
     ) {
+        let from = sender.id;
         // Sender-side faults: a crashed sender emits nothing; partitions cut
         // the link at send time.
         if shared.faults.is_crashed(from, departure)
@@ -287,18 +297,23 @@ impl<M: Clone> LaneIo<M> {
             self.counters.dropped += 1;
             return;
         }
-        if shared.faults.drop_probability > 0.0 && rng.gen_bool(shared.faults.drop_probability) {
+        if shared.faults.drop_probability > 0.0
+            && sender.rng.gen_bool(shared.faults.drop_probability)
+        {
             self.counters.dropped += 1;
             return;
         }
         let kind = shared.topology.link_kind(from, to);
         let mut delay = shared.latency.base(kind);
         if shared.latency.jitter_us > 0 {
-            delay += Duration::from_micros(rng.gen_range(0..=shared.latency.jitter_us));
+            delay += Duration::from_micros(sender.rng.gen_range(0..=shared.latency.jitter_us));
         }
         if shared.faults.extra_delay > Duration::ZERO {
-            delay +=
-                Duration::from_micros(rng.gen_range(0..=shared.faults.extra_delay.as_micros()));
+            delay += Duration::from_micros(
+                sender
+                    .rng
+                    .gen_range(0..=shared.faults.extra_delay.as_micros()),
+            );
         }
         // Point-to-point links are FIFO (deployments speak TCP): a message may
         // not overtake an earlier message on the same (from, to) link, so the
@@ -306,21 +321,22 @@ impl<M: Clone> LaneIo<M> {
         // with equal timestamps keep their send order through the sender's
         // sequence number, preserving FIFO exactly.
         let mut arrival = departure + delay;
-        let link_clock = self.link_clock.entry((from, to)).or_insert(SimTime::ZERO);
+        let link_clock = sender.link_clock.entry(to).or_insert(SimTime::ZERO);
         if arrival < *link_clock {
             arrival = *link_clock;
         } else {
             *link_clock = arrival;
         }
         let duplicate = shared.faults.duplicate_probability > 0.0
-            && rng.gen_bool(shared.faults.duplicate_probability);
+            && sender.rng.gen_bool(shared.faults.duplicate_probability);
         if duplicate {
             self.counters.duplicated += 1;
-            let extra_arrival = arrival + Duration::from_micros(rng.gen_range(1..=1_000));
+            let extra_arrival = arrival + Duration::from_micros(sender.rng.gen_range(1..=1_000));
+            let key = sender.next_key();
             self.route(
                 shared,
                 extra_arrival,
-                key_seq(),
+                key,
                 EventKind::Deliver {
                     from,
                     to,
@@ -328,12 +344,8 @@ impl<M: Clone> LaneIo<M> {
                 },
             );
         }
-        self.route(
-            shared,
-            arrival,
-            key_seq(),
-            EventKind::Deliver { from, to, msg },
-        );
+        let key = sender.next_key();
+        self.route(shared, arrival, key, EventKind::Deliver { from, to, msg });
     }
 }
 
@@ -341,7 +353,9 @@ impl<M: Clone> LaneIo<M> {
 /// with their private event queue. Lanes share no mutable state; cross-lane
 /// messages travel through [`LaneIo::outbound`] and the driver.
 struct Lane<M, A> {
-    actors: BTreeMap<ActorId, ActorSlot<M, A>>,
+    /// This lane's actors in ascending id order; `SharedCfg::directory`
+    /// maps an id to its index here.
+    actors: Vec<ActorSlot<M, A>>,
     io: LaneIo<M>,
     now: SimTime,
 }
@@ -355,11 +369,10 @@ enum Invocation<M> {
 impl<M: Clone, A: Actor<M>> Lane<M, A> {
     fn new(index: usize) -> Self {
         Self {
-            actors: BTreeMap::new(),
+            actors: Vec::new(),
             io: LaneIo {
                 index,
                 queue: EventWheel::new(),
-                link_clock: HashMap::new(),
                 outbound: Vec::new(),
                 counters: SimulationReport::default(),
                 trace: Vec::new(),
@@ -369,14 +382,17 @@ impl<M: Clone, A: Actor<M>> Lane<M, A> {
     }
 
     fn dispatch(&mut self, shared: &SharedCfg, kind: EventKind<M>) {
-        if let EventKind::Wake { actor } = kind {
-            if let Some(slot) = self.actors.get_mut(&actor) {
-                slot.wake_at = None;
+        let target = kind.target();
+        // Events are routed to the lane that owns their target, so a slot
+        // found here is always one of this lane's.
+        let index = shared.directory.get(target).map(|slot| slot.index);
+        if let EventKind::Wake { .. } = kind {
+            if let Some(index) = index {
+                self.actors[index].wake_at = None;
+                self.drain_deferred(shared, index);
             }
-            self.drain_deferred(shared, actor);
             return;
         }
-        let target = kind.target();
         // A crashed receiver loses its queue: events addressed to it are
         // dropped at arrival, never parked for replay after a recovery.
         if shared.faults.is_crashed(target, self.now) {
@@ -385,7 +401,7 @@ impl<M: Clone, A: Actor<M>> Lane<M, A> {
             }
             return;
         }
-        let Some(slot) = self.actors.get_mut(&target) else {
+        let Some(index) = index else {
             // No such actor: preserve the accounting of a delivery into the
             // void (protocols may address replicas that were never built).
             match kind {
@@ -395,6 +411,7 @@ impl<M: Clone, A: Actor<M>> Lane<M, A> {
             }
             return;
         };
+        let slot = &mut self.actors[index];
         let busy = slot.busy_until > self.now;
         if busy || !slot.defer.is_empty() {
             // Single-server FIFO queueing: the event waits its turn behind
@@ -403,14 +420,15 @@ impl<M: Clone, A: Actor<M>> Lane<M, A> {
             self.io.counters.deferred += 1;
             let wake_at = slot.busy_until.max(self.now);
             slot.defer.push_back(kind);
-            self.ensure_wake(shared, target, wake_at);
+            self.ensure_wake(shared, index, wake_at);
             return;
         }
-        self.process(shared, kind);
+        self.process(shared, index, kind);
     }
 
-    /// Executes a Deliver/Timer event against an idle actor at `self.now`.
-    fn process(&mut self, shared: &SharedCfg, kind: EventKind<M>) {
+    /// Executes a Deliver/Timer event against the idle actor at `index`, at
+    /// `self.now`.
+    fn process(&mut self, shared: &SharedCfg, index: usize, kind: EventKind<M>) {
         match kind {
             EventKind::Deliver { from, to, msg } => {
                 if shared.faults.is_crashed(to, self.now) {
@@ -418,66 +436,61 @@ impl<M: Clone, A: Actor<M>> Lane<M, A> {
                     return;
                 }
                 self.io.counters.delivered += 1;
-                self.invoke(shared, to, Invocation::Message { from, msg });
+                self.invoke(shared, index, Invocation::Message { from, msg });
             }
             EventKind::Timer { actor, id, tag } => {
-                if let Some(slot) = self.actors.get_mut(&actor) {
-                    if slot.cancelled.remove(&id) {
-                        return;
-                    }
+                if self.actors[index].cancelled.remove(&id) {
+                    return;
                 }
                 if shared.faults.is_crashed(actor, self.now) {
                     return;
                 }
                 self.io.counters.timers_fired += 1;
-                self.invoke(shared, actor, Invocation::Timer { id, tag });
+                self.invoke(shared, index, Invocation::Timer { id, tag });
             }
             EventKind::Wake { .. } => unreachable!("wakes are handled in dispatch"),
         }
     }
 
-    /// Drains `actor`'s defer queue in arrival order for as long as the actor
-    /// is free, re-arming a wake at the new busy horizon if events remain.
-    fn drain_deferred(&mut self, shared: &SharedCfg, actor: ActorId) {
+    /// Drains the defer queue of the actor at `index` in arrival order for as
+    /// long as the actor is free, re-arming a wake at the new busy horizon if
+    /// events remain.
+    fn drain_deferred(&mut self, shared: &SharedCfg, index: usize) {
         loop {
-            let Some(slot) = self.actors.get_mut(&actor) else {
-                return;
-            };
+            let slot = &mut self.actors[index];
             if slot.busy_until > self.now {
                 if !slot.defer.is_empty() {
                     let at = slot.busy_until;
-                    self.ensure_wake(shared, actor, at);
+                    self.ensure_wake(shared, index, at);
                 }
                 return;
             }
             let Some(kind) = slot.defer.pop_front() else {
                 return;
             };
-            self.process(shared, kind);
+            self.process(shared, index, kind);
         }
     }
 
-    /// Schedules a wake for `actor` at `at` unless one is already pending at
-    /// or before that time.
-    fn ensure_wake(&mut self, shared: &SharedCfg, actor: ActorId, at: SimTime) {
-        let Some(slot) = self.actors.get_mut(&actor) else {
-            return;
-        };
+    /// Schedules a wake for the actor at `index` at `at` unless one is
+    /// already pending at or before that time.
+    fn ensure_wake(&mut self, shared: &SharedCfg, index: usize, at: SimTime) {
+        let slot = &mut self.actors[index];
         match slot.wake_at {
             Some(pending) if pending <= at => {}
             _ => {
                 slot.wake_at = Some(at);
                 let key = slot.next_key();
+                let actor = slot.id;
                 self.io.route(shared, at, key, EventKind::Wake { actor });
             }
         }
     }
 
-    fn invoke(&mut self, shared: &SharedCfg, target: ActorId, invocation: Invocation<M>) {
+    fn invoke(&mut self, shared: &SharedCfg, index: usize, invocation: Invocation<M>) {
         let now = self.now;
-        let Some(slot) = self.actors.get_mut(&target) else {
-            return;
-        };
+        let slot = &mut self.actors[index];
+        let target = slot.id;
         let mut ctx = Context::new(now, target, slot.rng.gen(), slot.next_timer);
         if shared.tracing {
             ctx.enable_tracing();
@@ -525,15 +538,10 @@ impl<M: Clone, A: Actor<M>> Lane<M, A> {
                 },
             );
         }
-        let outbox = std::mem::take(&mut ctx.outbox);
-        let rank = slot.rank;
-        let ActorSlot { rng, emit_seq, .. } = slot;
-        let mut key_seq = move || emit_key(rank, emit_seq);
-        for out in outbox {
+        for out in std::mem::take(&mut ctx.outbox) {
             match out {
                 Outgoing::Unicast(to, msg) => {
-                    self.io
-                        .send_message(shared, rng, &mut key_seq, target, to, msg, finish);
+                    self.io.send_message(shared, slot, to, msg, finish);
                 }
                 Outgoing::Broadcast(recipients, msg) => {
                     // One payload shared by the whole fan-out: clone per
@@ -541,18 +549,9 @@ impl<M: Clone, A: Actor<M>> Lane<M, A> {
                     // bulky fields behind Arc), moving it into the last.
                     if let Some((&last, rest)) = recipients.split_last() {
                         for &to in rest {
-                            self.io.send_message(
-                                shared,
-                                rng,
-                                &mut key_seq,
-                                target,
-                                to,
-                                msg.clone(),
-                                finish,
-                            );
+                            self.io.send_message(shared, slot, to, msg.clone(), finish);
                         }
-                        self.io
-                            .send_message(shared, rng, &mut key_seq, target, last, msg, finish);
+                        self.io.send_message(shared, slot, last, msg, finish);
                     }
                 }
             }
@@ -680,9 +679,8 @@ impl<M: Clone + Send, A: Actor<M> + Send> Simulation<M, A> {
         if let Some(actor) = self.pending.get(&id) {
             return Some(actor);
         }
-        self.lanes
-            .iter()
-            .find_map(|lane| lane.actors.get(&id).map(|slot| &slot.actor))
+        let slot = self.shared.as_ref()?.directory.get(id)?;
+        Some(&self.lanes[slot.lane].actors[slot.index].actor)
     }
 
     /// Mutable access to an actor (used by tests to inject state).
@@ -691,9 +689,8 @@ impl<M: Clone + Send, A: Actor<M> + Send> Simulation<M, A> {
         if let Some(actor) = self.pending.get_mut(&id) {
             return Some(actor);
         }
-        self.lanes
-            .iter_mut()
-            .find_map(|lane| lane.actors.get_mut(&id).map(|slot| &mut slot.actor))
+        let slot = self.shared.as_ref()?.directory.get(id)?;
+        Some(&mut self.lanes[slot.lane].actors[slot.index].actor)
     }
 
     /// Iterates over all actors in ascending id order.
@@ -705,7 +702,7 @@ impl<M: Clone + Send, A: Actor<M> + Send> Simulation<M, A> {
             .chain(
                 self.lanes
                     .iter()
-                    .flat_map(|lane| lane.actors.iter().map(|(id, slot)| (*id, &slot.actor))),
+                    .flat_map(|lane| lane.actors.iter().map(|slot| (slot.id, &slot.actor))),
             )
             .collect();
         all.sort_by_key(|(id, _)| *id);
@@ -717,8 +714,8 @@ impl<M: Clone + Send, A: Actor<M> + Send> Simulation<M, A> {
     pub fn into_actors(self) -> Vec<A> {
         let mut all: BTreeMap<ActorId, A> = self.pending.into_iter().collect();
         for lane in self.lanes {
-            for (id, slot) in lane.actors {
-                all.insert(id, slot.actor);
+            for slot in lane.actors {
+                all.insert(slot.id, slot.actor);
             }
         }
         all.into_values().collect()
@@ -781,18 +778,20 @@ impl<M: Clone + Send, A: Actor<M> + Send> Simulation<M, A> {
             ThreadMode::PerCluster => clusters.len().max(1),
             ThreadMode::Fixed(n) => n.min(clusters.len()).max(1),
         };
-        let lane_of_cluster: HashMap<ClusterId, usize> = clusters
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i % lane_count))
-            .collect();
-        let mut assignment: HashMap<ActorId, usize> = HashMap::new();
-        for &id in self.pending.keys() {
+
+        // Give every actor its slot: lanes take their actors in ascending id
+        // order, and the directory remembers where each one went.
+        self.lanes = (0..lane_count).map(Lane::new).collect();
+        let mut directory = ActorTable::default();
+        for (id, actor) in std::mem::take(&mut self.pending) {
             let lane = topology
                 .location(id)
-                .and_then(|c| lane_of_cluster.get(&c).copied())
-                .unwrap_or(0);
-            assignment.insert(id, lane);
+                .and_then(|c| clusters.binary_search(&c).ok())
+                .map_or(0, |i| i % lane_count);
+            let actors = &mut self.lanes[lane].actors;
+            let index = actors.len();
+            directory.insert(id, Slot { lane, index });
+            actors.push(ActorSlot::new(id, actor, self.seed));
         }
 
         // Lookahead: the minimum base latency of any link that can connect
@@ -800,20 +799,17 @@ impl<M: Clone + Send, A: Actor<M> + Send> Simulation<M, A> {
         // so only cross-cluster and client links count.
         let mut lookahead = u64::MAX;
         if lane_count > 1 {
-            let node_lanes: HashSet<usize> = self
-                .pending
-                .keys()
-                .filter(|id| matches!(id, ActorId::Node(_)))
-                .map(|&id| assignment[&id])
-                .collect();
-            if node_lanes.len() > 1 {
+            let lanes_holding = |node: bool| {
+                let holds = |slot: &ActorSlot<M, A>| matches!(slot.id, ActorId::Node(_)) == node;
+                self.lanes
+                    .iter()
+                    .filter(|lane| lane.actors.iter().any(holds))
+                    .count()
+            };
+            if lanes_holding(true) > 1 {
                 lookahead = lookahead.min(self.latency.base(LinkKind::CrossCluster).as_micros());
             }
-            let any_client = self
-                .pending
-                .keys()
-                .any(|id| matches!(id, ActorId::Client(_)));
-            if any_client {
+            if lanes_holding(false) > 0 {
                 lookahead = lookahead.min(self.latency.base(LinkKind::ClientToNode).as_micros());
             }
         }
@@ -823,27 +819,17 @@ impl<M: Clone + Send, A: Actor<M> + Send> Simulation<M, A> {
             topology,
             latency: self.latency,
             faults,
-            assignment,
+            directory,
             tracing: self.tracing,
         });
-        self.lanes = (0..lane_count).map(Lane::new).collect();
-        let pending = std::mem::take(&mut self.pending);
-        for (id, actor) in pending {
-            let lane = shared.lane_of(id);
-            let rank = rank_of(id);
-            self.lanes[lane]
-                .actors
-                .insert(id, ActorSlot::new(actor, rank, self.seed));
-        }
 
         // Start every actor at time zero, then route the resulting events to
         // their owning lanes (this happens on the driver thread, before any
         // worker runs, so start order cannot introduce nondeterminism — all
         // per-actor state is independent).
         for lane in &mut self.lanes {
-            let ids: Vec<ActorId> = lane.actors.keys().copied().collect();
-            for id in ids {
-                lane.invoke(&shared, id, Invocation::Start);
+            for index in 0..lane.actors.len() {
+                lane.invoke(&shared, index, Invocation::Start);
             }
         }
         self.shared = Some(shared);
@@ -1636,5 +1622,127 @@ mod tests {
         let report = s.run_until(SimTime::from_secs(2));
         assert_eq!(s.lane_count(), 2);
         assert_eq!(report.delivered, 44);
+    }
+
+    /// A relay that keeps messages moving between a fixed set of targets —
+    /// some built, one crashing mid-run, some never built — and re-arms a
+    /// timer, so every dispatch path of the engine carries traffic.
+    #[derive(Debug)]
+    struct Relay {
+        id: ActorId,
+        targets: Vec<ActorId>,
+        received: u64,
+        timers: u64,
+    }
+
+    impl Actor<u64> for Relay {
+        fn id(&self) -> ActorId {
+            self.id
+        }
+
+        fn on_start(&mut self, ctx: &mut Context<u64>) {
+            ctx.broadcast(self.targets.clone(), 0);
+            ctx.set_timer(Duration::from_millis(7), 0);
+        }
+
+        fn on_message(&mut self, from: ActorId, msg: u64, ctx: &mut Context<u64>) {
+            self.received += 1;
+            ctx.charge(Duration::from_micros(50));
+            if msg < 30 {
+                let next = (msg + self.received) as usize % self.targets.len();
+                ctx.send(self.targets[next], msg + 1);
+                if msg.is_multiple_of(3) {
+                    ctx.send(from, msg + 1);
+                }
+            }
+        }
+
+        fn on_timer(&mut self, _timer: TimerId, tag: u64, ctx: &mut Context<u64>) {
+            self.timers += 1;
+            ctx.send(self.targets[tag as usize % self.targets.len()], 0);
+            if tag < 12 {
+                ctx.set_timer(Duration::from_millis(7), tag + 1);
+            }
+        }
+    }
+
+    /// Two clusters and two clients; replica n5 and client c9 are addressed
+    /// but never built, and n4 is down from 20 ms to 45 ms.
+    fn relay_run(threads: ThreadMode) -> (SimulationReport, Vec<(u64, u64)>) {
+        let cfg = SystemConfig::uniform(FailureModel::Crash, 2, 1).unwrap();
+        let topology = Topology::from_config(&cfg)
+            .with_client(ClientId(0), ClusterId(0))
+            .with_client(ClientId(1), ClusterId(1));
+        let faults = FaultPlan::none()
+            .with_drop_probability(0.02)
+            .with_duplicate_probability(0.05)
+            .with_extra_delay(Duration::from_micros(300))
+            .with_crash_and_recovery(
+                NodeId(4),
+                SimTime::from_millis(20),
+                SimTime::from_millis(45),
+            );
+        let mut s: Simulation<u64, Relay> =
+            Simulation::new(topology, LatencyModel::default(), faults, 0xD15C)
+                .with_threads(threads);
+        let built: Vec<ActorId> = (0..5)
+            .map(|n| ActorId::Node(NodeId(n)))
+            .chain((0..2).map(|c| ActorId::Client(ClientId(c))))
+            .collect();
+        let void = [ActorId::Node(NodeId(5)), ActorId::Client(ClientId(9))];
+        for &id in &built {
+            let targets = built
+                .iter()
+                .chain(&void)
+                .copied()
+                .filter(|&t| t != id)
+                .collect();
+            s.add_actor(Relay {
+                id,
+                targets,
+                received: 0,
+                timers: 0,
+            });
+        }
+        let report = s.run_until(SimTime::from_millis(200));
+        assert!(s.actor(NodeId(5)).is_none() && s.actor(ClientId(9)).is_none());
+        let per_actor = s.actors().map(|a| (a.received, a.timers)).collect();
+        (report, per_actor)
+    }
+
+    #[test]
+    fn void_targets_and_a_crashed_receiver_are_accounted_identically_in_every_mode() {
+        let (report, per_actor) = relay_run(ThreadMode::Sequential);
+        assert_eq!(
+            (report, per_actor.clone()),
+            relay_run(ThreadMode::PerCluster)
+        );
+        assert_eq!((report, per_actor.clone()), relay_run(ThreadMode::Fixed(2)));
+        // Pinned from the engine as it was before actors got dense slots
+        // (map-keyed lanes, a lane-wide link-clock table): deliveries into
+        // the void still count as delivered, arrivals at the crashed n4 as
+        // dropped, and n4's timer chain dies with the timer it lost.
+        assert_eq!(
+            report,
+            SimulationReport {
+                delivered: 5539,
+                dropped: 166,
+                duplicated: 302,
+                timers_fired: 80,
+                deferred: 1053,
+                finished_at: SimTime::from_millis(200),
+                ..SimulationReport::default()
+            }
+        );
+        let expected = [
+            (591, 13),
+            (642, 13),
+            (642, 13),
+            (640, 13),
+            (573, 2),
+            (640, 13),
+            (668, 13),
+        ];
+        assert_eq!(per_actor, expected);
     }
 }

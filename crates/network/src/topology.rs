@@ -5,41 +5,45 @@
 //! clusters are slow. Clients are homed near one cluster (in the paper's
 //! evaluation, the load is spread evenly over the clusters).
 
-use crate::actor::ActorId;
+use crate::actor::{ActorId, ActorTable};
 use sharper_common::{ClientId, ClusterId, LinkKind, NodeId, SystemConfig};
-use std::collections::HashMap;
 
 /// Maps actors to locations and pairs of actors to [`LinkKind`]s.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
-    node_cluster: HashMap<NodeId, ClusterId>,
-    client_home: HashMap<ClientId, ClusterId>,
+    /// The cluster of each replica and the home cluster of each client.
+    /// Classifying a link — done for every message the simulator sends —
+    /// reads it twice.
+    locations: ActorTable<ClusterId>,
+    nodes: usize,
+    clients: usize,
 }
 
 impl Topology {
     /// Builds the replica side of the topology from a system configuration.
     pub fn from_config(config: &SystemConfig) -> Self {
-        let mut node_cluster = HashMap::new();
+        let mut topology = Self::default();
         for cluster in config.cluster_ids() {
             for &node in config.members(cluster).expect("cluster exists") {
-                node_cluster.insert(node, cluster);
+                topology.add_node(node, cluster);
             }
         }
-        Self {
-            node_cluster,
-            client_home: HashMap::new(),
-        }
+        topology
     }
 
     /// Registers a replica as a member of `cluster` (used by deployments that
     /// are not described by a `SystemConfig`, e.g. the baseline systems).
     pub fn add_node(&mut self, node: NodeId, cluster: ClusterId) {
-        self.node_cluster.insert(node, cluster);
+        if self.locations.insert(node.into(), cluster).is_none() {
+            self.nodes += 1;
+        }
     }
 
     /// Registers a client as homed next to `cluster`.
     pub fn add_client(&mut self, client: ClientId, cluster: ClusterId) {
-        self.client_home.insert(client, cluster);
+        if self.locations.insert(client.into(), cluster).is_none() {
+            self.clients += 1;
+        }
     }
 
     /// Registers a client (builder style).
@@ -50,20 +54,17 @@ impl Topology {
 
     /// The cluster a replica belongs to, if known.
     pub fn cluster_of_node(&self, node: NodeId) -> Option<ClusterId> {
-        self.node_cluster.get(&node).copied()
+        self.locations.get(node.into())
     }
 
     /// The home cluster of a client, if known.
     pub fn home_of_client(&self, client: ClientId) -> Option<ClusterId> {
-        self.client_home.get(&client).copied()
+        self.locations.get(client.into())
     }
 
     /// The location (cluster) of any actor, if known.
     pub fn location(&self, actor: ActorId) -> Option<ClusterId> {
-        match actor {
-            ActorId::Node(n) => self.cluster_of_node(n),
-            ActorId::Client(c) => self.home_of_client(c),
-        }
+        self.locations.get(actor)
     }
 
     /// Classifies the link between two actors.
@@ -89,12 +90,12 @@ impl Topology {
 
     /// Number of registered replicas.
     pub fn node_count(&self) -> usize {
-        self.node_cluster.len()
+        self.nodes
     }
 
     /// Number of registered clients.
     pub fn client_count(&self) -> usize {
-        self.client_home.len()
+        self.clients
     }
 }
 

@@ -5,8 +5,10 @@
 //! (`examples/`), and re-exports the public API of every crate so examples
 //! and downstream users can depend on a single crate.
 //!
-//! See README.md for an overview, DESIGN.md for the system inventory and
-//! EXPERIMENTS.md for the paper-vs-measured comparison.
+//! See README.md for an overview and the design notes, `benchmark/README.md`
+//! for the measured end-to-end and per-layer numbers, and the figures harness
+//! (`cargo run -p sharper-bench --release --bin figures`) for the paper's
+//! curves.
 
 #![forbid(unsafe_code)]
 

@@ -194,3 +194,50 @@ fn cross_shard_ledger_views_agree_between_replicas_of_one_cluster() {
     assert!(report.audit.cross_shard_transactions > 0);
     assert!(report.audit.views >= 3);
 }
+
+#[test]
+fn golden_seeds_match_the_values_pinned_before_the_one_pass_commit_path() {
+    // The two unbatched golden seeds, pinned at the commit before replicas
+    // kept one block per round, the audit borrowed its views and the engine
+    // indexed actors densely. Those are host-side changes: every thread mode
+    // must still reproduce the ledger digest and the engine's counters bit
+    // for bit. (A change that means to alter the protocol or the cost model
+    // re-pins these from the values the failing assertion prints; the
+    // digests are also the first two lines of `golden --threads sequential`.)
+    let pinned = [
+        (
+            FailureModel::Crash,
+            0xC0FFEE,
+            "327c8bf27b6c2bc1bb131ab8be2bd4f2bb4cef2c17ab3f6662713c11fb44be05",
+            (952, 3, 53, 80, 64),
+        ),
+        (
+            FailureModel::Byzantine,
+            0xBEEF,
+            "5b56b2f9b7ec58bea726ae221827544d0a5621b2e4a3817abf624b5397287dcf",
+            (3210, 38, 52, 1126, 41),
+        ),
+    ];
+    for (model, seed, digest, counters) in pinned {
+        for threads in [
+            ThreadMode::Sequential,
+            ThreadMode::PerCluster,
+            ThreadMode::Fixed(2),
+        ] {
+            let (report, got) = run_once_threaded(model, seed, 1, threads);
+            let sim = report.simulation;
+            assert_eq!(got.to_hex(), digest, "{model} {threads:?}");
+            assert_eq!(
+                (
+                    sim.delivered,
+                    sim.dropped,
+                    sim.timers_fired,
+                    sim.deferred,
+                    report.client_completed
+                ),
+                counters,
+                "{model} {threads:?}"
+            );
+        }
+    }
+}
