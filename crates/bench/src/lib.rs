@@ -715,6 +715,16 @@ pub fn figure_fig8xl(
     }
 }
 
+/// The host fields of every BENCH document that holds wall-clock numbers:
+/// they mean nothing without the core count, and are comparable only between
+/// hosts hashing on the same SHA-256 kernel.
+fn host_json(host_cpus: usize) -> String {
+    format!(
+        "\"host_cpus\":{host_cpus},\"sha256_kernel\":{}",
+        json_string(sharper_crypto::sha256::kernel())
+    )
+}
+
 /// Renders the fig8xl sweep as the `BENCH_fig8xl.json` document.
 pub fn fig8xl_to_json(sweep: &Fig8xlSweep) -> String {
     let points: Vec<String> = sweep
@@ -742,10 +752,10 @@ pub fn fig8xl_to_json(sweep: &Fig8xlSweep) -> String {
         })
         .collect();
     format!(
-        "{{\"figure\":\"fig8xl\",\"threads\":{},\"host_cpus\":{},\"max_throughput_tps\":{:.3},\
+        "{{\"figure\":\"fig8xl\",\"threads\":{},{},\"max_throughput_tps\":{:.3},\
          \"points\":[{}]}}",
         json_string(&sweep.threads),
-        sweep.host_cpus,
+        host_json(sweep.host_cpus),
         sweep.max_throughput_tps,
         points.join(",")
     )
@@ -933,8 +943,8 @@ pub fn exec_to_json(sweep: &ExecSweep) -> String {
         })
         .collect();
     format!(
-        "{{\"figure\":\"exec\",\"host_cpus\":{},\"points\":[{}]}}",
-        sweep.host_cpus,
+        "{{\"figure\":\"exec\",{},\"points\":[{}]}}",
+        host_json(sweep.host_cpus),
         points.join(",")
     )
 }
@@ -987,9 +997,9 @@ pub fn parallel_to_json(sweep: &ParallelSweep) -> String {
         })
         .collect();
     format!(
-        "{{\"figure\":\"parallel\",\"threads\":{},\"host_cpus\":{},\"points\":[{}]}}",
+        "{{\"figure\":\"parallel\",\"threads\":{},{},\"points\":[{}]}}",
         json_string(&sweep.threads),
-        sweep.host_cpus,
+        host_json(sweep.host_cpus),
         points.join(",")
     )
 }
@@ -1314,6 +1324,13 @@ mod tests {
             split.throughput_tps,
             serial.serial_tps
         );
+        // Its wall-clock numbers are tagged with the host that took them.
+        let host = format!(
+            "\"host_cpus\":{},\"sha256_kernel\":\"{}\"",
+            sweep.host_cpus,
+            sharper_crypto::sha256::kernel()
+        );
+        assert!(exec_to_json(&sweep).contains(&host));
     }
 
     #[test]

@@ -24,8 +24,9 @@ use super::{AbortRetx, CrossRound, Replica, Reservation};
 use crate::messages::{proposal_sign_bytes, timer_tags, vote_sign_bytes, Msg};
 use sharper_common::{ClusterId, Duration, FailureModel, NodeId, TraceKind};
 use sharper_crypto::{hash_parts, Digest, Signature};
-use sharper_ledger::{Batch, Block};
+use sharper_ledger::{Batch, VerifiedBatch, VerifiedBlock};
 use sharper_net::{ActorId, Context, TimerId};
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -72,7 +73,7 @@ impl Replica {
     /// primary of the initiator cluster.
     pub(super) fn start_cross(
         &mut self,
-        batch: Batch,
+        batch: VerifiedBatch,
         involved: Vec<ClusterId>,
         ctx: &mut Context<Msg>,
     ) {
@@ -89,6 +90,8 @@ impl Replica {
         }
         let parent = self.ordering_tail();
         let mut round = CrossRound::new(batch.clone(), involved.clone(), self.cluster, 0);
+        // The messages carry the plain batch; every receiver checks it.
+        let batch = batch.into_batch();
         round
             .accepts
             .entry(self.cluster)
@@ -219,10 +222,18 @@ impl Replica {
             }
         }
         // Track the round so a view change can take over uncommitted work.
-        let round = self
-            .cross
-            .entry(d)
-            .or_insert_with(|| CrossRound::new(batch.clone(), involved, initiator, attempt));
+        // A first sight of the batch is where this replica derives its root
+        // — the one derivation the commit will rely on; a batch whose
+        // transactions do not hash to the root it claims is dropped.
+        let round = match self.cross.entry(d) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                let Some(batch) = VerifiedBatch::check(batch) else {
+                    return;
+                };
+                slot.insert(CrossRound::new(batch, involved, initiator, attempt))
+            }
+        };
         round.attempt = attempt;
         // Reserve this node for the proposal: no other transaction is
         // processed until the commit arrives or the conflict timer fires.
@@ -336,11 +347,11 @@ impl Replica {
             Msg::XCommit {
                 d,
                 parents: Arc::clone(&parents),
-                batch: batch.clone(),
+                batch: Batch::clone(&batch),
             },
         );
         self.initiating = None;
-        let block = Block::batch(batch, parents);
+        let block = VerifiedBlock::chain(batch, parents);
         // The initiator primary executes, appends and replies to the clients.
         self.commit_block(ctx, block, true);
         self.process_buffered(ctx);
@@ -360,6 +371,13 @@ impl Replica {
         if !parents.contains_key(&self.cluster) {
             return;
         }
+        // The round holds the batch this replica verified when the proposal
+        // arrived; only a replica that never saw the proposal has to derive
+        // the root of the commit's own batch.
+        let batch = match self.cross.get(&d) {
+            Some(round) => Some(round.batch.clone()),
+            None => self.verify_unseen_commit(batch),
+        };
         ctx.trace(|| TraceKind::XCommit {
             batch: d.short_u64(),
         });
@@ -370,8 +388,9 @@ impl Replica {
                 ctx.cancel_timer(timer);
             }
         }
-        let block = Block::batch(batch, parents);
-        self.commit_block(ctx, block, false);
+        if let Some(batch) = batch {
+            self.commit_block(ctx, VerifiedBlock::chain(batch, parents), false);
+        }
         self.process_buffered(ctx);
     }
 
@@ -398,10 +417,14 @@ impl Replica {
         let d = batch.digest();
         // The claimed root must be the root of the carried transactions, and
         // no transaction may appear twice (double execution / Merkle
-        // odd-level duplication aliasing).
-        if !batch.verify_root() || batch.has_duplicate_tx_ids() {
+        // odd-level duplication aliasing). The check's witness is what the
+        // commit appends under.
+        if batch.has_duplicate_tx_ids() {
             return;
         }
+        let Some(batch) = VerifiedBatch::check(batch) else {
+            return;
+        };
         // The proposal must be signed by the initiator cluster's primary.
         let primary = self.primary_of(initiator);
         let bytes = proposal_sign_bytes(initiator.0 as u64, &parent, &d);
@@ -421,9 +444,9 @@ impl Replica {
         // two blocks commit with the same parent. Conflicts between
         // concurrently initiating primaries are instead resolved by the
         // bounded give-up in the retry path plus client retransmission.
-        self.cross.entry(d).or_insert_with(|| {
-            CrossRound::new(batch.clone(), involved.clone(), initiator, attempt)
-        });
+        self.cross
+            .entry(d)
+            .or_insert_with(|| CrossRound::new(batch, involved, initiator, attempt));
         match self.reservation {
             Some(res) if res.d == d => {}
             Some(_) => return,
@@ -662,7 +685,7 @@ impl Replica {
             batch: d.short_u64(),
         });
         self.release_reservation_if(d, ctx);
-        let block = Block::batch(batch, parents);
+        let block = VerifiedBlock::chain(batch, parents);
         // Every replica replies; the client waits for f+1 matching replies.
         self.commit_block(ctx, block, true);
         self.process_buffered(ctx);
@@ -1000,7 +1023,7 @@ impl Replica {
         round.parents = None;
         self.stats.retries += 1;
         let attempt = round.attempt;
-        let batch = round.batch.clone();
+        let batch = Batch::clone(&round.batch);
         let involved = round.involved.clone();
         let parent = self.ordering_tail();
         self.cross

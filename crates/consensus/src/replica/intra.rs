@@ -8,16 +8,17 @@
 //! the ones evaluated in the paper. With `max_batch_size = 1` every batch
 //! holds a single transaction and the rounds are bit-for-bit the paper's.
 
-use super::{intra_block, IntraRound, Replica};
+use super::{intra_parents, IntraRound, Replica};
 use crate::messages::{proposal_sign_bytes, vote_sign_bytes, Ballot, Msg};
 use sharper_common::{FailureModel, TraceKind};
 use sharper_crypto::{Digest, Signature};
-use sharper_ledger::Batch;
+use sharper_ledger::{Batch, Block, VerifiedBatch, VerifiedBlock};
 use sharper_net::{ActorId, Context};
+use std::collections::hash_map::Entry;
 
 impl Replica {
     /// Starts ordering an intra-shard batch. Called on the primary.
-    pub(super) fn start_intra(&mut self, batch: Batch, ctx: &mut Context<Msg>) {
+    pub(super) fn start_intra(&mut self, batch: VerifiedBatch, ctx: &mut Context<Msg>) {
         match self.model() {
             FailureModel::Crash => self.start_paxos(batch, ctx),
             FailureModel::Byzantine => self.start_pbft(batch, ctx),
@@ -28,7 +29,7 @@ impl Replica {
     // Paxos (crash-only clusters), Figure 3(a)
     // ------------------------------------------------------------------
 
-    fn start_paxos(&mut self, batch: Batch, ctx: &mut Context<Msg>) {
+    fn start_paxos(&mut self, batch: VerifiedBatch, ctx: &mut Context<Msg>) {
         let d = batch.digest();
         if self.intra.contains_key(&d) || batch.tx_ids().all(|id| self.committed_txs.contains(&id))
         {
@@ -42,7 +43,8 @@ impl Replica {
     /// view-change state transfer to replay accepted rounds of the previous
     /// view at their original positions). Any existing round state for the
     /// digest is replaced: votes gathered under the old view are void in the
-    /// new one.
+    /// new one. The batch comes out of a view-change vote, i.e. off the
+    /// wire, so this is where its root is derived.
     pub(super) fn propose_paxos_at(
         &mut self,
         batch: Batch,
@@ -53,13 +55,16 @@ impl Replica {
         if batch.tx_ids().all(|id| self.committed_txs.contains(&id)) {
             return;
         }
+        let Some(batch) = VerifiedBatch::check(batch) else {
+            return;
+        };
         self.intra.remove(&d);
         self.propose_paxos_round(batch, parent, d, ctx);
     }
 
     fn propose_paxos_round(
         &mut self,
-        batch: Batch,
+        batch: VerifiedBatch,
         parent: Digest,
         d: Digest,
         ctx: &mut Context<Msg>,
@@ -84,7 +89,7 @@ impl Replica {
             Msg::PaxosAccept {
                 ballot,
                 parent,
-                batch,
+                batch: batch.into_batch(),
             },
         );
         // A single-node cluster (f = 0) commits immediately.
@@ -130,7 +135,10 @@ impl Replica {
             // can gather its quorum and the cluster converges on one chain;
             // anything else overlapping committed transactions is stale and
             // is dropped.
-            let replay = intra_block(self.cluster, batch, parent);
+            // Only the digest is looked up, so the claimed root is enough:
+            // a forged batch under a committed root endorses that root's
+            // committed block, nothing else.
+            let replay = Block::batch(batch, intra_parents(self.cluster, parent));
             // All-history membership: a truncating ledger no longer holds the
             // payload, but the digest index still answers exactly.
             if self.ledger.knows_block(replay.digest()) {
@@ -168,13 +176,21 @@ impl Replica {
         }
         // Remember the batch (with its ballot) so the view-change path can
         // transfer it, and start the liveness timer for the in-flight
-        // request. A replay under a higher ballot updates the stored ballot
-        // and position.
+        // request. A first sight of the batch is where this replica derives
+        // its root — the one derivation the commit will rely on; a batch
+        // whose transactions do not hash to the root it claims is dropped. A
+        // replay under a higher ballot finds the round, whose own verified
+        // batch already has this root, and updates its ballot and position.
         let cluster = self.cluster;
-        let round = self
-            .intra
-            .entry(d)
-            .or_insert_with(|| IntraRound::new(cluster, batch.clone(), parent, ballot));
+        let round = match self.intra.entry(d) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                let Some(batch) = VerifiedBatch::check(batch) else {
+                    return;
+                };
+                slot.insert(IntraRound::new(cluster, batch, parent, ballot))
+            }
+        };
         // A replay under a newer ballot voids acceptances gathered under the
         // old one — they endorsed a possibly different chain position.
         if round.ballot != ballot {
@@ -182,7 +198,7 @@ impl Replica {
             round.sent_commit = false;
         }
         round.ballot = ballot;
-        round.reposition(cluster, &batch, parent);
+        round.reposition(cluster, parent);
         let block = round.block.clone();
         self.ensure_view_change_timer(ctx);
         self.advance_tail(&block);
@@ -271,19 +287,25 @@ impl Replica {
         // primary; adopt it (the NewView announcement may have been lost).
         self.adopt_view(ballot.view, ctx);
         let d = batch.digest();
-        // The accepted round already holds this block — unless the commit
-        // names another position than the one this replica accepted (or it
-        // never saw the accept), in which case the block is built from the
-        // commit itself.
-        let accepted = self.intra.get_mut(&d).and_then(|round| {
-            round.committed = true;
-            (round.parent() == parent).then(|| round.block.clone())
-        });
+        // The accepted round already holds this block. If the commit names
+        // another position than the one this replica accepted, the round's
+        // verified batch is re-chained there; only a replica that never saw
+        // the accept has to derive the root of the commit's own batch.
+        let block = match self.intra.get_mut(&d) {
+            Some(round) => {
+                round.committed = true;
+                Some(round.block_at(self.cluster, parent))
+            }
+            None => self
+                .verify_unseen_commit(batch)
+                .map(|batch| VerifiedBlock::chain(batch, intra_parents(self.cluster, parent))),
+        };
         ctx.trace(|| TraceKind::Commit {
             batch: d.short_u64(),
         });
-        let block = accepted.unwrap_or_else(|| intra_block(self.cluster, batch, parent));
-        self.commit_block(ctx, block, false);
+        if let Some(block) = block {
+            self.commit_block(ctx, block, false);
+        }
     }
 
     /// Adopts a higher view evidenced by a valid higher-ballot message. The
@@ -306,7 +328,7 @@ impl Replica {
     // PBFT (Byzantine clusters), Figure 3(b)
     // ------------------------------------------------------------------
 
-    fn start_pbft(&mut self, batch: Batch, ctx: &mut Context<Msg>) {
+    fn start_pbft(&mut self, batch: VerifiedBatch, ctx: &mut Context<Msg>) {
         let d = batch.digest();
         if self.intra.contains_key(&d) || batch.tx_ids().all(|id| self.committed_txs.contains(&id))
         {
@@ -319,7 +341,12 @@ impl Replica {
     /// Proposes `batch` at an explicit chain position (used by the Byzantine
     /// new-view replay of certified prepared rounds). Existing round state is
     /// replaced: votes gathered under the old view are void in the new one.
-    pub(super) fn propose_pbft_at(&mut self, batch: Batch, parent: Digest, ctx: &mut Context<Msg>) {
+    pub(super) fn propose_pbft_at(
+        &mut self,
+        batch: VerifiedBatch,
+        parent: Digest,
+        ctx: &mut Context<Msg>,
+    ) {
         let d = batch.digest();
         if batch.tx_ids().all(|id| self.committed_txs.contains(&id)) {
             return;
@@ -330,7 +357,7 @@ impl Replica {
 
     fn propose_pbft_round(
         &mut self,
-        batch: Batch,
+        batch: VerifiedBatch,
         parent: Digest,
         d: Digest,
         ctx: &mut Context<Msg>,
@@ -360,7 +387,7 @@ impl Replica {
             Msg::PrePrepare {
                 view: self.view,
                 parent,
-                batch,
+                batch: batch.into_batch(),
                 sig,
             },
         );
@@ -389,10 +416,15 @@ impl Replica {
         // cannot commit the cluster to a root whose preimage it never sent —
         // and no transaction may appear twice (a duplicated tail would both
         // double-execute and exploit the Merkle odd-level duplication
-        // ambiguity to alias another batch's root).
-        if !batch.verify_root() || batch.has_duplicate_tx_ids() {
+        // ambiguity to alias another batch's root). The check's witness is
+        // what the commit appends under: this is the replica's one
+        // derivation for the block.
+        if batch.has_duplicate_tx_ids() {
             return;
         }
+        let Some(batch) = VerifiedBatch::check(batch) else {
+            return;
+        };
         // Verify the primary's signature over (view, parent, d).
         let bytes = proposal_sign_bytes(view, &parent, &d);
         if !self.verify_signed(ctx, super::node_signer_id(primary), &bytes, &sig) {
@@ -424,9 +456,23 @@ impl Replica {
         }
         let block = {
             let cluster = self.cluster;
-            let round = self.intra.entry(d).or_insert_with(|| {
-                IntraRound::new(cluster, batch.clone(), parent, Ballot::new(view, primary))
-            });
+            let round = match self.intra.entry(d) {
+                Entry::Vacant(slot) => slot.insert(IntraRound::new(
+                    cluster,
+                    batch,
+                    parent,
+                    Ballot::new(view, primary),
+                )),
+                Entry::Occupied(slot) => {
+                    let round = slot.into_mut();
+                    if round.batch().is_empty() {
+                        round.fill(cluster, batch, parent);
+                    } else {
+                        round.reposition(cluster, parent);
+                    }
+                    round
+                }
+            };
             // A re-proposal under a newer view voids any votes gathered under
             // the old one: they signed different view/parent bytes.
             if round.ballot.view != view {
@@ -436,7 +482,6 @@ impl Replica {
                 round.sent_commit = false;
             }
             round.ballot = Ballot::new(view, primary);
-            round.reposition(cluster, &batch, parent);
             // The pre-prepare carries the primary's implicit prepare; this
             // replica's own prepare is counted when it multicasts below.
             round.prepares.insert(primary);
@@ -492,7 +537,12 @@ impl Replica {
         let round = self.intra.entry(d).or_insert_with(|| {
             // Batch not yet known (prepare overtook the pre-prepare); the
             // empty placeholder is replaced when the pre-prepare arrives.
-            IntraRound::new(cluster, Batch::empty(), parent, Ballot::new(view, primary))
+            IntraRound::new(
+                cluster,
+                VerifiedBatch::seal(Vec::new()),
+                parent,
+                Ballot::new(view, primary),
+            )
         });
         // Votes only stack with the view the round currently runs under.
         if round.ballot.view != view {

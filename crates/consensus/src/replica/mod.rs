@@ -31,7 +31,7 @@ use crate::sigcache::SigCache;
 use sharper_common::{ClientId, ClusterId, FailureModel, NodeId, TraceKind, TxId};
 use sharper_crypto::keys::SignerId;
 use sharper_crypto::{hash, Digest, Signature, Signer};
-use sharper_ledger::{Batch, Block, LedgerView};
+use sharper_ledger::{Batch, Block, LedgerView, VerifiedBatch, VerifiedBlock};
 use sharper_net::{Actor, ActorId, Context, TimerId};
 use sharper_state::{
     AccountStore, ExecutionOutcome, Executor, PartitionedStore, Partitioner, Transaction,
@@ -88,20 +88,31 @@ pub struct ReplicaStats {
     pub reshards_applied: usize,
 }
 
-/// The intra-shard block ordering `batch` right after `parent` in
+/// The parents map of an intra-shard block right after `parent` in
 /// `cluster`'s chain.
-fn intra_block(cluster: ClusterId, batch: Batch, parent: Digest) -> Block {
-    Block::batch(batch, BTreeMap::from([(cluster, parent)]))
+fn intra_parents(cluster: ClusterId, parent: Digest) -> BTreeMap<ClusterId, Digest> {
+    BTreeMap::from([(cluster, parent)])
 }
 
 /// State of one in-flight intra-shard consensus round.
+///
+/// A round holds *witnesses*, not plain values: this replica derived the
+/// batch's Merkle root itself — when it sealed the batch as primary, or when
+/// it checked the proposal that carried it — so the commit appends through
+/// [`LedgerView::append_verified`] without hashing the batch a second time.
+/// What a round sends is always the plain [`Batch`]; every receiver makes its
+/// own check.
 #[derive(Debug, Clone)]
 struct IntraRound {
-    /// The block under agreement: the batch (sharing its transactions with
-    /// the message plane) chained at the proposed position. Built once, when
-    /// the round is created or re-positioned, and reused by the tail advance
-    /// and the commit — a round never digests the same block twice.
-    block: Block,
+    /// The batch under agreement (sharing its transactions with the message
+    /// plane), kept beside the block so that a round moved to another chain
+    /// position re-chains it in O(1).
+    batch: VerifiedBatch,
+    /// The block under agreement: the batch chained at the proposed
+    /// position. Built once, when the round is created or re-positioned, and
+    /// reused by the tail advance and the commit — a round never digests the
+    /// same block twice.
+    block: VerifiedBlock,
     /// The ballot the round was last proposed under (crash: the Paxos
     /// ballot; Byzantine: `(view, primary)` of the proposing view).
     ballot: Ballot,
@@ -120,9 +131,10 @@ struct IntraRound {
 }
 
 impl IntraRound {
-    fn new(cluster: ClusterId, batch: Batch, parent: Digest, ballot: Ballot) -> Self {
+    fn new(cluster: ClusterId, batch: VerifiedBatch, parent: Digest, ballot: Ballot) -> Self {
         Self {
-            block: intra_block(cluster, batch, parent),
+            block: VerifiedBlock::chain(batch.clone(), intra_parents(cluster, parent)),
+            batch,
             ballot,
             prepares: BTreeSet::new(),
             commits: BTreeSet::new(),
@@ -135,9 +147,7 @@ impl IntraRound {
     /// The batch under agreement (empty for a PBFT round whose `prepare`
     /// overtook its `pre-prepare`).
     fn batch(&self) -> &Batch {
-        self.block
-            .body_batch()
-            .expect("a round's block carries a batch")
+        &self.batch
     }
 
     /// The chain position the round proposes to fill.
@@ -150,13 +160,28 @@ impl IntraRound {
             .expect("an intra-shard block has one parent")
     }
 
-    /// Moves the round to the position after `parent` (a replay under a
-    /// newer ballot or view may re-assign it) and fills in a placeholder's
-    /// payload. The block is rebuilt only if either actually changed.
-    fn reposition(&mut self, cluster: ClusterId, batch: &Batch, parent: Digest) {
-        if self.parent() != parent || self.batch().is_empty() {
-            self.block = intra_block(cluster, batch.clone(), parent);
+    /// The round's batch chained right after `parent`: the round's own block
+    /// if that is where it sits, its verified batch re-chained otherwise. No
+    /// root is derived either way.
+    fn block_at(&self, cluster: ClusterId, parent: Digest) -> VerifiedBlock {
+        if self.parent() == parent {
+            self.block.clone()
+        } else {
+            VerifiedBlock::chain(self.batch.clone(), intra_parents(cluster, parent))
         }
+    }
+
+    /// Moves the round to the position after `parent` (a replay under a
+    /// newer ballot or view may re-assign it).
+    fn reposition(&mut self, cluster: ClusterId, parent: Digest) {
+        self.block = self.block_at(cluster, parent);
+    }
+
+    /// Gives a placeholder round (a PBFT `prepare` that overtook its
+    /// `pre-prepare`) the payload the pre-prepare delivered.
+    fn fill(&mut self, cluster: ClusterId, batch: VerifiedBatch, parent: Digest) {
+        self.block = VerifiedBlock::chain(batch.clone(), intra_parents(cluster, parent));
+        self.batch = batch;
     }
 }
 
@@ -184,8 +209,9 @@ struct AbortRetx {
 #[derive(Debug, Clone)]
 struct CrossRound {
     /// The batch under agreement (shares its transactions with the message
-    /// plane). All member transactions have the same involved-cluster set.
-    batch: Batch,
+    /// plane), root derived by this replica when it sealed or checked it. All
+    /// member transactions have the same involved-cluster set.
+    batch: VerifiedBatch,
     involved: Vec<ClusterId>,
     initiator: ClusterId,
     attempt: u32,
@@ -207,7 +233,12 @@ struct CrossRound {
 }
 
 impl CrossRound {
-    fn new(batch: Batch, involved: Vec<ClusterId>, initiator: ClusterId, attempt: u32) -> Self {
+    fn new(
+        batch: VerifiedBatch,
+        involved: Vec<ClusterId>,
+        initiator: ClusterId,
+        attempt: u32,
+    ) -> Self {
         Self {
             batch,
             involved,
@@ -285,7 +316,7 @@ pub struct Replica {
     early_cross: HashMap<Digest, Vec<(ActorId, Msg)>>,
     /// Committed blocks waiting for their parent to be appended first,
     /// keyed by the required parent digest.
-    deferred: HashMap<Digest, Vec<(Block, bool)>>,
+    deferred: HashMap<Digest, Vec<(VerifiedBlock, bool)>>,
     committed_txs: HashSet<TxId>,
     /// Batch root → block digest for every committed cross-shard block, so
     /// the status probe can retransmit the commit of an already purged round.
@@ -710,7 +741,7 @@ impl Replica {
         if txs.is_empty() {
             return;
         }
-        let batch = Batch::new(txs);
+        let batch = VerifiedBatch::seal(txs);
         ctx.trace(|| TraceKind::BatchSeal {
             batch: batch.digest().short_u64(),
             txs: batch.tx_ids().collect(),
@@ -740,7 +771,7 @@ impl Replica {
         if txs.is_empty() {
             return;
         }
-        let batch = Batch::new(txs);
+        let batch = VerifiedBatch::seal(txs);
         ctx.trace(|| TraceKind::BatchSeal {
             batch: batch.digest().short_u64(),
             txs: batch.tx_ids().collect(),
@@ -785,10 +816,25 @@ impl Replica {
     // Commit pipeline
     // ------------------------------------------------------------------
 
+    /// The witness for a batch delivered by a commit message this replica
+    /// holds no round for (it never saw the proposal, or already purged the
+    /// round). `None` if any of its transactions is already committed here —
+    /// a duplicate delivery, which [`commit_block`](Self::commit_block)
+    /// would drop, is not worth a root derivation — or if its transactions
+    /// do not hash to the root it claims.
+    fn verify_unseen_commit(&self, batch: Batch) -> Option<VerifiedBatch> {
+        if batch.tx_ids().any(|id| self.committed_txs.contains(&id)) {
+            return None;
+        }
+        VerifiedBatch::check(batch)
+    }
+
     /// Appends (or defers) a committed block, executes its batch atomically
     /// in order and optionally replies to the clients. Returns `true` if the
-    /// block was appended immediately.
-    fn commit_block(&mut self, ctx: &mut Context<Msg>, block: Block, reply: bool) -> bool {
+    /// block was appended immediately. Taking the witness is what lets the
+    /// append skip the second root derivation: whoever calls this sealed or
+    /// checked the block's batch itself.
+    fn commit_block(&mut self, ctx: &mut Context<Msg>, block: VerifiedBlock, reply: bool) -> bool {
         if block.tx_count() == 0 {
             return false;
         }
@@ -841,7 +887,7 @@ impl Replica {
         true
     }
 
-    fn apply_block(&mut self, ctx: &mut Context<Msg>, block: Block, reply: bool) {
+    fn apply_block(&mut self, ctx: &mut Context<Msg>, block: VerifiedBlock, reply: bool) {
         let batch = block
             .body_batch()
             .cloned()
@@ -854,7 +900,7 @@ impl Replica {
             self.cross_blocks.insert(batch.digest(), block.digest());
         }
         self.ledger
-            .append(block)
+            .append_verified(block)
             .expect("parent was checked against the head");
         // Audit-and-prune at the watermark. Purely a storage operation: it
         // charges no simulated cost, sends nothing, and every query the

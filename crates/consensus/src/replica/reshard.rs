@@ -30,7 +30,7 @@ use super::Replica;
 use crate::messages::{timer_tags, Msg};
 use sharper_common::{AccountId, ClientId, ClusterId, FailureModel, TraceKind, TxId};
 use sharper_crypto::Signature;
-use sharper_ledger::Batch;
+use sharper_ledger::{Batch, VerifiedBatch};
 use sharper_net::{ActorId, Context};
 use sharper_state::{Executor, Operation, Transaction};
 use std::collections::BTreeMap;
@@ -511,7 +511,7 @@ impl Replica {
         let Some((tx, involved)) = self.reshard.pending_handover.take() else {
             return;
         };
-        let batch = Batch::single(tx);
+        let batch = VerifiedBatch::seal(vec![tx]);
         ctx.trace(|| TraceKind::BatchSeal {
             batch: batch.digest().short_u64(),
             txs: batch.tx_ids().collect(),

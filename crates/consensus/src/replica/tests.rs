@@ -8,13 +8,14 @@
 
 use super::*;
 use crate::config::{ReplicaConfig, TimerConfig};
-use crate::messages::{vote_sign_bytes, Ballot, Msg, PreparedCert};
+use crate::messages::{proposal_sign_bytes, vote_sign_bytes, Ballot, Msg, PreparedCert};
 use sharper_common::{
     AccountId, ClientId, ClusterId, CostModel, FailureModel, InitiationPolicy, NodeId, SimTime,
     SystemConfig,
 };
 use sharper_crypto::{KeyRegistry, Signature};
 use sharper_ledger::audit_views;
+use sharper_ledger::batch::root_derivations;
 use sharper_state::{Partitioner, Transaction};
 use std::collections::VecDeque;
 
@@ -1457,7 +1458,7 @@ fn the_round_holds_the_block_a_fresh_build_would_give() {
         for node in [0u32, 1] {
             let replica = net.replica(node);
             let round = &replica.intra[&batch.digest()];
-            assert_eq!(round.block, expected, "{model:?} replica {node}");
+            assert_eq!(*round.block, expected, "{model:?} replica {node}");
             assert_eq!(round.parent(), genesis);
             assert_eq!(round.batch(), &batch);
             assert_eq!(replica.ordering_tail(), expected.digest());
@@ -1485,7 +1486,7 @@ fn paxos_replay_at_another_parent_rebuilds_the_rounds_block() {
     deliver(&mut net, n0, 2, accept(old, genesis, &a));
     deliver(&mut net, n0, 2, accept(old, a_at_genesis, &b));
     let stale = fresh_block(&b, a_at_genesis);
-    assert_eq!(net.replica(2).intra[&b.digest()].block, stale);
+    assert_eq!(*net.replica(2).intra[&b.digest()].block, stale);
     assert_eq!(net.replica(2).ordering_tail(), stale.digest());
 
     // The view-1 primary replays B right after genesis: same batch, newer
@@ -1499,7 +1500,7 @@ fn paxos_replay_at_another_parent_rebuilds_the_rounds_block() {
     let moved = fresh_block(&b, genesis);
     assert_ne!(moved.digest(), stale.digest());
     let round = &net.replica(2).intra[&b.digest()];
-    assert_eq!(round.block, moved);
+    assert_eq!(*round.block, moved);
     assert_eq!(round.ballot, new);
     assert_eq!(net.replica(2).ordering_tail(), moved.digest());
 
@@ -1527,7 +1528,7 @@ fn pbft_replay_at_another_parent_rebuilds_the_rounds_block() {
     deliver(&mut net, n0, 2, pre_prepare(&cfg, 0, 0, genesis, &a));
     deliver(&mut net, n0, 2, pre_prepare(&cfg, 0, 0, a_at_genesis, &b));
     let stale = fresh_block(&b, a_at_genesis);
-    assert_eq!(net.replica(2).intra[&b.digest()].block, stale);
+    assert_eq!(*net.replica(2).intra[&b.digest()].block, stale);
 
     // View 1 (primary n1) re-proposes B right after genesis.
     {
@@ -1543,7 +1544,7 @@ fn pbft_replay_at_another_parent_rebuilds_the_rounds_block() {
     )));
     let moved = fresh_block(&b, genesis);
     let round = &net.replica(2).intra[&b.digest()];
-    assert_eq!(round.block, moved);
+    assert_eq!(*round.block, moved);
     assert_eq!(round.ballot, Ballot::new(1, NodeId(1)));
     assert_eq!(net.replica(2).ordering_tail(), moved.digest());
 }
@@ -1582,4 +1583,346 @@ fn a_commit_naming_another_parent_does_not_reuse_the_accepted_block() {
         fresh_block(&b, genesis).digest()
     );
     assert_eq!(net.replica(2).committed_count(), 1);
+}
+
+// ---------------------------------------------------------------------
+// Hash once: the verified-batch witness
+// ---------------------------------------------------------------------
+
+fn batch_of(txs: impl IntoIterator<Item = Transaction>) -> Batch {
+    Batch::new(txs.into_iter().map(Arc::new).collect())
+}
+
+/// `honest` with its first transaction swapped for `intruder`, still
+/// claiming `honest`'s root — so it is keyed, signed and voted on exactly
+/// like the honest batch, and only a root derivation tells them apart.
+fn forge(honest: &Batch, intruder: Transaction) -> Batch {
+    let mut txs = honest.txs().to_vec();
+    txs[0] = Arc::new(intruder);
+    let forged = Batch::with_claimed_root(txs, honest.digest());
+    assert!(!forged.verify_root());
+    forged
+}
+
+fn sign_as(cfg: &ReplicaConfig, node: u32, bytes: &[u8]) -> Signature {
+    cfg.registry
+        .signer(node_signer_id(NodeId(node)))
+        .expect("node key registered")
+        .sign(bytes)
+}
+
+/// The replica holds nothing but the genesis block and no round state.
+fn assert_untouched(net: &TestNet, node: u32) {
+    let r = net.replica(node);
+    assert_eq!(r.committed_count(), 0, "replica {node}");
+    assert!(r.ledger().is_empty(), "replica {node}");
+    assert!(r.intra.is_empty() && r.cross.is_empty(), "replica {node}");
+    assert!(r.deferred.is_empty(), "replica {node}");
+    assert!(r.is_idle(), "replica {node}");
+}
+
+#[test]
+fn a_forged_batch_in_a_paxos_accept_or_commit_is_never_appended() {
+    let cfg = test_config(FailureModel::Crash, 1, 1);
+    let mut net = TestNet::new(cfg);
+    let genesis = net.replica(2).ledger().head();
+    let honest = batch_of([intra_tx(0), intra_tx(1)]);
+    let forged = forge(&honest, intra_tx(77));
+    let d = honest.digest();
+    let ballot = Ballot::new(0, NodeId(0));
+    let n0 = ActorId::Node(NodeId(0));
+    let accept = |batch: &Batch| Msg::PaxosAccept {
+        ballot,
+        parent: genesis,
+        batch: batch.clone(),
+    };
+    let commit = |batch: &Batch| Msg::PaxosCommit {
+        ballot,
+        parent: genesis,
+        batch: batch.clone(),
+    };
+
+    // Forged accept: no vote, no round. Forged commit with no round: nothing
+    // appended (before this check the append would have derived the root —
+    // and panicked on the mismatch).
+    let out = deliver(&mut net, n0, 2, accept(&forged));
+    assert!(out.is_empty(), "a forged proposal is not endorsed");
+    assert!(deliver(&mut net, n0, 2, commit(&forged)).is_empty());
+    assert_untouched(&net, 2);
+
+    // The honest accept is endorsed. A commit that then carries the forgery
+    // under the same digest cannot swap the payload: the replica appends the
+    // batch *it* verified.
+    let out = deliver(&mut net, n0, 2, accept(&honest));
+    assert!(out
+        .iter()
+        .any(|(_, m)| matches!(m, Msg::PaxosAccepted { d: voted, .. } if *voted == d)));
+    deliver(&mut net, n0, 2, commit(&forged));
+    let expected = fresh_block(&honest, genesis);
+    assert_eq!(net.replica(2).ledger().head(), expected.digest());
+    assert_eq!(
+        net.replica(2).ledger().block(expected.digest()),
+        Some(&expected)
+    );
+    net.replica(2).ledger().verify_chain().unwrap();
+
+    // An honest commit reaching a replica that never saw the accept commits.
+    deliver(&mut net, n0, 1, commit(&honest));
+    assert_eq!(net.replica(1).ledger().head(), expected.digest());
+    assert_eq!(net.replica(1).committed_count(), 2);
+}
+
+#[test]
+fn a_forged_batch_in_a_pre_prepare_is_never_appended() {
+    let cfg = test_config(FailureModel::Byzantine, 1, 1);
+    let mut net = TestNet::new(Arc::clone(&cfg));
+    let genesis = net.replica(1).ledger().head();
+    let honest = batch_of([intra_tx(0), intra_tx(1)]);
+    let forged = forge(&honest, intra_tx(77));
+    let n0 = ActorId::Node(NodeId(0));
+
+    // The (Byzantine) primary's signature over the claimed digest is valid;
+    // only the re-derived root exposes the proposal.
+    let out = deliver(&mut net, n0, 1, pre_prepare(&cfg, 0, 0, genesis, &forged));
+    assert!(out.is_empty(), "no prepare vote for a forged proposal");
+    assert_untouched(&net, 1);
+
+    // The honest proposal, signed identically, runs to commit everywhere.
+    for backup in 1..4u32 {
+        net.inject(
+            n0,
+            NodeId(backup),
+            pre_prepare(&cfg, 0, 0, genesis, &honest),
+        );
+    }
+    net.run();
+    for backup in 1..4u32 {
+        assert_eq!(net.replica(backup).committed_count(), 2, "replica {backup}");
+        assert_eq!(
+            net.replica(backup).ledger().head(),
+            fresh_block(&honest, genesis).digest()
+        );
+    }
+}
+
+#[test]
+fn a_forged_batch_in_a_new_view_certificate_is_refused() {
+    let cfg = test_config(FailureModel::Byzantine, 1, 1);
+    let mut net = TestNet::new(Arc::clone(&cfg));
+    let genesis = net.replica(2).ledger().head();
+    let honest = batch_of([intra_tx(0), intra_tx(1)]);
+    let forged = forge(&honest, intra_tx(77));
+    let d = honest.digest();
+    // A genuine prepared quorum over the digest: the view-0 primary's
+    // pre-prepare signature and two prepare votes. Every signature verifies
+    // for the forged batch too — it claims the same digest.
+    let sigs = sharper_crypto::QuorumCert::from_signatures([
+        sign_as(&cfg, 0, &proposal_sign_bytes(0, &genesis, &d)),
+        sign_as(&cfg, 1, &vote_sign_bytes(b"prepare", 0, &genesis, &d)),
+        sign_as(&cfg, 2, &vote_sign_bytes(b"prepare", 0, &genesis, &d)),
+    ]);
+    let nv_bytes = vote_sign_bytes(
+        b"newview",
+        (ClusterId(0).0 as u64) << 32 | 1,
+        &Digest::ZERO,
+        &Digest::ZERO,
+    );
+    let new_view = |batch: &Batch| Msg::NewView {
+        cluster: ClusterId(0),
+        new_view: 1,
+        node: NodeId(1),
+        certs: vec![PreparedCert {
+            view: 0,
+            parent: genesis,
+            batch: batch.clone(),
+            sigs: sigs.clone(),
+        }],
+        sig: sign_as(&cfg, 1, &nv_bytes),
+    };
+    let n1 = ActorId::Node(NodeId(1));
+    deliver(&mut net, n1, 2, new_view(&forged));
+    assert_eq!(net.replica(2).view(), 0, "forged certificate: no install");
+    assert!(net.replica(2).newview_certs.is_empty());
+    // Control: the same certificate over the honest batch installs.
+    deliver(&mut net, n1, 2, new_view(&honest));
+    assert_eq!(net.replica(2).view(), 1);
+    assert_eq!(net.replica(2).newview_certs[&genesis], (0, d));
+}
+
+#[test]
+fn a_forged_batch_in_a_cross_shard_propose_or_commit_is_never_appended() {
+    let cfg = test_config(FailureModel::Crash, 2, 1);
+    let mut net = TestNet::new(cfg);
+    let genesis = net.replica(3).ledger().head();
+    let honest = batch_of([cross_tx(0, 1), cross_tx(1, 1)]);
+    let forged = forge(&honest, cross_tx(77, 1));
+    let d = honest.digest();
+    let n0 = ActorId::Node(NodeId(0));
+    let parents = Arc::new(BTreeMap::from([
+        (ClusterId(0), genesis),
+        (ClusterId(1), genesis),
+    ]));
+    let propose = |batch: &Batch| Msg::XPropose {
+        initiator: ClusterId(0),
+        attempt: 0,
+        parent: genesis,
+        batch: batch.clone(),
+    };
+    let commit = |batch: &Batch| Msg::XCommit {
+        d,
+        parents: Arc::clone(&parents),
+        batch: batch.clone(),
+    };
+    let expected = Block::batch(honest.clone(), Arc::clone(&parents));
+
+    // Forged propose: no accept, no reservation, no round. Forged commit
+    // with no round: nothing appended.
+    assert!(deliver(&mut net, n0, 3, propose(&forged)).is_empty());
+    assert!(deliver(&mut net, n0, 3, commit(&forged)).is_empty());
+    assert_untouched(&net, 3);
+
+    // Honest propose, then a commit smuggling the forgery under the same
+    // digest: the replica appends the batch it verified.
+    let out = deliver(&mut net, n0, 3, propose(&honest));
+    assert!(out
+        .iter()
+        .any(|(_, m)| matches!(m, Msg::XAccept { d: voted, .. } if *voted == d)));
+    deliver(&mut net, n0, 3, commit(&forged));
+    assert_eq!(
+        net.replica(3).ledger().block(expected.digest()),
+        Some(&expected)
+    );
+    assert_eq!(net.replica(3).stats().committed_cross, 2);
+    net.replica(3).ledger().verify_chain().unwrap();
+    assert!(
+        net.replica(3).is_idle(),
+        "the commit released the reservation"
+    );
+
+    // An honest commit reaching a replica that never saw the propose commits.
+    deliver(&mut net, n0, 4, commit(&honest));
+    assert_eq!(net.replica(4).ledger().head(), expected.digest());
+}
+
+#[test]
+fn a_forged_batch_in_a_byzantine_cross_shard_propose_is_never_appended() {
+    let cfg = test_config(FailureModel::Byzantine, 2, 1);
+    let mut net = TestNet::new(Arc::clone(&cfg));
+    let genesis = net.replica(4).ledger().head();
+    let honest = batch_of([cross_tx(0, 1), cross_tx(1, 1)]);
+    let forged = forge(&honest, cross_tx(77, 1));
+    let d = honest.digest();
+    // Signed by the initiator cluster's primary over the claimed digest.
+    let propose = |batch: &Batch| Msg::XProposeB {
+        initiator: ClusterId(0),
+        attempt: 0,
+        parent: genesis,
+        batch: batch.clone(),
+        sig: sign_as(&cfg, 0, &proposal_sign_bytes(0, &genesis, &d)),
+    };
+    let n0 = ActorId::Node(NodeId(0));
+    assert!(deliver(&mut net, n0, 4, propose(&forged)).is_empty());
+    assert_untouched(&net, 4);
+
+    // The honest proposal is accepted by the same replica ...
+    let out = deliver(&mut net, n0, 4, propose(&honest));
+    assert!(out
+        .iter()
+        .any(|(_, m)| matches!(m, Msg::XAcceptB { d: voted, .. } if *voted == d)));
+    // ... and an ordinary Byzantine cross-shard round commits everywhere.
+    let mut net = TestNet::new(cfg);
+    net.submit(cross_tx(0, 1));
+    net.run();
+    for node in 0..8u32 {
+        assert_eq!(net.replica(node).committed_count(), 1, "replica {node}");
+    }
+}
+
+#[test]
+fn a_commit_naming_another_parent_rechains_without_a_second_derivation() {
+    let cfg = test_config(FailureModel::Crash, 1, 1);
+    let mut net = TestNet::new(cfg);
+    let genesis = net.replica(2).ledger().head();
+    let a = batch_of([intra_tx(0)]);
+    let b = batch_of([intra_tx(1), intra_tx(2)]);
+    let a_at_genesis = fresh_block(&a, genesis).digest();
+    let ballot = Ballot::new(0, NodeId(0));
+    let n0 = ActorId::Node(NodeId(0));
+    let before = root_derivations();
+    for (parent, batch) in [(genesis, &a), (a_at_genesis, &b)] {
+        let accept = Msg::PaxosAccept {
+            ballot,
+            parent,
+            batch: batch.clone(),
+        };
+        deliver(&mut net, n0, 2, accept);
+    }
+    assert_eq!(root_derivations() - before, 2, "one per accepted batch");
+
+    // B is decided right after genesis, not after A where it was accepted:
+    // the round's verified batch is re-chained there and appended as is.
+    let commit = Msg::PaxosCommit {
+        ballot,
+        parent: genesis,
+        batch: b.clone(),
+    };
+    deliver(&mut net, n0, 2, commit);
+    assert_eq!(root_derivations() - before, 2, "the commit derives nothing");
+    let expected = fresh_block(&b, genesis);
+    assert_eq!(
+        net.replica(2).ledger().block(expected.digest()),
+        Some(&expected)
+    );
+    assert_eq!(net.replica(2).committed_count(), 2);
+    net.replica(2).ledger().verify_chain().unwrap();
+}
+
+/// Runs `txs` (one batch) to commit and returns how many Merkle roots the
+/// whole deployment derived on the way.
+fn derivations_to_commit(
+    model: FailureModel,
+    clusters: usize,
+    txs: Vec<Transaction>,
+    replicas: std::ops::Range<u32>,
+) -> u64 {
+    let cfg = test_config_batched(model, clusters, 1, txs.len());
+    let mut net = TestNet::new(cfg);
+    let expected = txs.len();
+    let before = root_derivations();
+    for tx in txs {
+        net.submit(tx);
+    }
+    net.run();
+    let derived = root_derivations() - before;
+    for node in replicas {
+        let r = net.replica(node);
+        assert_eq!(r.stats().committed_blocks, 1, "{model:?} replica {node}");
+        assert_eq!(r.committed_count(), expected, "{model:?} replica {node}");
+    }
+    audit_views(&net.ledgers()).unwrap();
+    derived
+}
+
+#[test]
+fn each_replica_derives_a_committed_blocks_root_exactly_once() {
+    let intra: Vec<Transaction> = (0..4).map(intra_tx).collect();
+    let cross: Vec<Transaction> = (0..4).map(|seq| cross_tx(seq, 1)).collect();
+    // 4-replica PBFT cluster: the primary seals, three backups check the
+    // pre-prepare (was 8: everyone derived again inside `append`).
+    assert_eq!(
+        derivations_to_commit(FailureModel::Byzantine, 1, intra.clone(), 0..4),
+        4
+    );
+    // 3-replica Paxos cluster: the primary seals, two backups check the
+    // accept (was 4).
+    assert_eq!(
+        derivations_to_commit(FailureModel::Crash, 1, intra, 0..3),
+        3
+    );
+    // Crash cross-shard block over two 3-replica clusters: the initiator
+    // primary seals, the other five check the propose (was 7).
+    assert_eq!(
+        derivations_to_commit(FailureModel::Crash, 2, cross, 0..6),
+        6
+    );
 }

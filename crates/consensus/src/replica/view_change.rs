@@ -37,6 +37,7 @@ use crate::messages::{
 };
 use sharper_common::{ClusterId, FailureModel, NodeId, TraceKind};
 use sharper_crypto::{Digest, QuorumCert, Signature};
+use sharper_ledger::VerifiedBatch;
 use sharper_net::{Context, TimerId};
 use std::collections::{BTreeMap, HashSet};
 
@@ -312,25 +313,27 @@ impl Replica {
             })
             .unwrap_or_default();
         let own = self.prepared_certs_for_transfer();
-        let mut selected: BTreeMap<Digest, PreparedCert> = BTreeMap::new();
+        // Each selected certificate keeps the witness of its batch check: the
+        // replay below proposes (and may commit) exactly what was verified.
+        let mut selected: BTreeMap<Digest, (PreparedCert, VerifiedBatch)> = BTreeMap::new();
         for cert in candidates.into_iter().chain(own) {
-            if !self.verify_prepared_cert(&cert, ctx) {
+            let Some(batch) = self.verify_prepared_cert(&cert, ctx) else {
                 continue;
-            }
+            };
             let rank = (cert.view, cert.batch.digest());
             match selected.get(&cert.parent) {
-                Some(cur) if (cur.view, cur.batch.digest()) >= rank => {}
+                Some((cur, _)) if (cur.view, cur.batch.digest()) >= rank => {}
                 _ => {
-                    selected.insert(cert.parent, cert);
+                    selected.insert(cert.parent, (cert, batch));
                 }
             }
         }
         self.install_view(new_view, ctx);
         self.newview_certs = selected
             .values()
-            .map(|c| (c.parent, (c.view, c.batch.digest())))
+            .map(|(c, _)| (c.parent, (c.view, c.batch.digest())))
             .collect();
-        let certs: Vec<PreparedCert> = selected.values().cloned().collect();
+        let certs: Vec<PreparedCert> = selected.values().map(|(c, _)| c.clone()).collect();
         let sig = self
             .signer
             .sign(&view_change_sign_bytes(b"newview", self.cluster, new_view));
@@ -352,18 +355,18 @@ impl Replica {
     /// Checks a prepared certificate: a well-formed batch plus a quorum of
     /// valid prepare signatures by distinct cluster members over that batch
     /// at that chain position in the certificate's view (the primary of that
-    /// view signs the pre-prepare bytes instead of a prepare vote).
+    /// view signs the pre-prepare bytes instead of a prepare vote). A valid
+    /// certificate yields the witness of its batch check, `None` otherwise.
     pub(super) fn verify_prepared_cert(
         &mut self,
         cert: &PreparedCert,
         ctx: &mut Context<Msg>,
-    ) -> bool {
-        if cert.batch.is_empty() || !cert.batch.verify_root() || cert.batch.has_duplicate_tx_ids() {
-            return false;
+    ) -> Option<VerifiedBatch> {
+        if cert.batch.is_empty() || cert.batch.has_duplicate_tx_ids() {
+            return None;
         }
-        let Ok(cert_primary) = self.cfg.system.primary(self.cluster, cert.view) else {
-            return false;
-        };
+        let batch = VerifiedBatch::check(cert.batch.clone())?;
+        let cert_primary = self.cfg.system.primary(self.cluster, cert.view).ok()?;
         let members = self.cluster_members(self.cluster);
         let quorum = self.quorum_of(self.cluster);
         let d = cert.batch.digest();
@@ -379,6 +382,7 @@ impl Replica {
                     vote_sign_bytes(b"prepare", cert.view, &cert.parent, &d)
                 })
             })
+            .then_some(batch)
     }
 
     /// Re-proposes the rounds adopted through a crash-model view change.
@@ -422,26 +426,26 @@ impl Replica {
     /// the certified prepared rounds under the new view.
     fn repropose_certified_rounds(
         &mut self,
-        mut certified: BTreeMap<Digest, PreparedCert>,
+        mut certified: BTreeMap<Digest, (PreparedCert, VerifiedBatch)>,
         ctx: &mut Context<Msg>,
     ) {
         let mut seen: HashSet<Digest> = HashSet::new();
         loop {
             let tail = self.ordering_tail();
-            let Some(cert) = certified.remove(&tail) else {
+            let Some((cert, batch)) = certified.remove(&tail) else {
                 break;
             };
-            if !seen.insert(cert.batch.digest()) {
+            if !seen.insert(batch.digest()) {
                 continue;
             }
-            self.propose_pbft_at(cert.batch, cert.parent, ctx);
+            self.propose_pbft_at(batch, cert.parent, ctx);
         }
-        for (_, cert) in certified {
-            if !seen.insert(cert.batch.digest()) {
+        for (_, (_, batch)) in certified {
+            if !seen.insert(batch.digest()) {
                 continue;
             }
             let parent = self.ordering_tail();
-            self.propose_pbft_at(cert.batch, parent, ctx);
+            self.propose_pbft_at(batch, parent, ctx);
         }
     }
 
@@ -476,7 +480,7 @@ impl Replica {
             // means the announcer is lying about the prepared log, and
             // nothing it says can be trusted.
             for cert in &certs {
-                if !self.verify_prepared_cert(cert, ctx) {
+                if self.verify_prepared_cert(cert, ctx).is_none() {
                     return;
                 }
             }

@@ -7,7 +7,10 @@
 //! model. This crate provides:
 //!
 //! * a from-scratch [`sha256`] implementation (no external crypto crates are
-//!   available offline) with the standard NIST test vectors,
+//!   available offline) with the standard NIST test vectors. Its compression
+//!   function has two kernels behind one seam — a portable scalar loop and
+//!   the x86-64 SHA extensions — chosen at run time from what the CPU
+//!   reports; [`sha256::kernel`] names the one in use,
 //! * [`Digest`], the 32-byte hash value used for block parents and message
 //!   digests,
 //! * a keyed-MAC signature scheme ([`keys`]) standing in for public-key
@@ -23,8 +26,20 @@
 //!   to commit a block's transaction batch to a single root digest,
 //! * [`cert`]: quorum certificates aggregating signatures by distinct
 //!   signers, used by the Byzantine view change's prepared-certificates.
+//!
+//! # `unsafe` policy
+//!
+//! Every other crate of the workspace is `#![forbid(unsafe_code)]`. This one
+//! is `#![deny(unsafe_code)]` with exactly one `#[allow]`: the private module
+//! holding the SHA-extensions kernel, because calling code compiled for CPU
+//! features the build target does not guarantee has no safe form. The module
+//! exports only safe functions (the call is guarded by a value that proves
+//! the features were detected), its kernel body uses no raw pointers, and
+//! every `unsafe` block must carry a `// SAFETY:` comment
+//! (`clippy::undocumented_unsafe_blocks` is denied).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod cert;

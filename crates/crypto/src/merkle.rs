@@ -57,14 +57,17 @@ fn hash_node(left: Digest, right: Digest) -> Digest {
     Digest(h.finalize())
 }
 
-fn next_level(level: &[Digest]) -> Vec<Digest> {
-    let mut next = Vec::with_capacity(level.len().div_ceil(2));
-    for pair in level.chunks(2) {
-        let left = pair[0];
-        let right = if pair.len() == 2 { pair[1] } else { pair[0] };
-        next.push(hash_node(left, right));
+/// Overwrites the front of `level` with its parent level — pair `i` is read
+/// before slot `i` is written and never again — and returns the parent
+/// level's length. An odd level pairs its last element with itself.
+fn reduce_level(level: &mut [Digest]) -> usize {
+    let parents = level.len().div_ceil(2);
+    for i in 0..parents {
+        let left = level[2 * i];
+        let right = *level.get(2 * i + 1).unwrap_or(&left);
+        level[i] = hash_node(left, right);
     }
-    next
+    parents
 }
 
 /// Computes the Merkle root of a list of leaf digests.
@@ -72,13 +75,16 @@ fn next_level(level: &[Digest]) -> Vec<Digest> {
 /// * An empty list hashes to the reserved root [`Digest::ZERO`].
 /// * A single leaf's root is `hash_leaf(leaf)`.
 /// * Odd levels duplicate the last element.
+///
+/// The tree is reduced level by level inside the one leaf-level buffer.
 pub fn merkle_root(leaves: &[Digest]) -> Digest {
     if leaves.is_empty() {
         return Digest::ZERO;
     }
     let mut level: Vec<Digest> = leaves.iter().copied().map(hash_leaf).collect();
-    while level.len() > 1 {
-        level = next_level(&level);
+    let mut len = level.len();
+    while len > 1 {
+        len = reduce_level(&mut level[..len]);
     }
     level[0]
 }
@@ -93,15 +99,16 @@ pub fn merkle_proof(leaves: &[Digest], index: usize) -> Option<(Digest, Vec<Dige
     }
     let mut proof = Vec::new();
     let mut level: Vec<Digest> = leaves.iter().copied().map(hash_leaf).collect();
+    let mut len = level.len();
     let mut idx = index;
-    while level.len() > 1 {
+    while len > 1 {
         let sibling = if idx.is_multiple_of(2) {
-            *level.get(idx + 1).unwrap_or(&level[idx])
+            *level[..len].get(idx + 1).unwrap_or(&level[idx])
         } else {
             level[idx - 1]
         };
         proof.push(sibling);
-        level = next_level(&level);
+        len = reduce_level(&mut level[..len]);
         idx /= 2;
     }
     Some((level[0], proof))
@@ -129,6 +136,61 @@ mod tests {
 
     fn leaves(n: usize) -> Vec<Digest> {
         (0..n).map(|i| hash(&(i as u64).to_le_bytes())).collect()
+    }
+
+    /// The level-by-level construction, a fresh vector per level: the
+    /// reference the in-place reduction is compared against.
+    fn next_level(level: &[Digest]) -> Vec<Digest> {
+        let mut next = Vec::with_capacity(level.len().div_ceil(2));
+        for pair in level.chunks(2) {
+            let left = pair[0];
+            let right = if pair.len() == 2 { pair[1] } else { pair[0] };
+            next.push(hash_node(left, right));
+        }
+        next
+    }
+
+    fn reference_proof(leaves: &[Digest], index: usize) -> Option<(Digest, Vec<Digest>)> {
+        if index >= leaves.len() {
+            return None;
+        }
+        let mut proof = Vec::new();
+        let mut level: Vec<Digest> = leaves.iter().copied().map(hash_leaf).collect();
+        let mut idx = index;
+        while level.len() > 1 {
+            let sibling = if idx.is_multiple_of(2) {
+                *level.get(idx + 1).unwrap_or(&level[idx])
+            } else {
+                level[idx - 1]
+            };
+            proof.push(sibling);
+            level = next_level(&level);
+            idx /= 2;
+        }
+        Some((level[0], proof))
+    }
+
+    #[test]
+    fn in_place_reduction_matches_the_level_by_level_reference() {
+        // 0..=33 crosses every shape: the empty tree, the lone leaf, odd
+        // levels at each height, and the duplicated tail just past 2^k.
+        for n in 0..=33usize {
+            let l = leaves(n);
+            let root = merkle_root(&l);
+            match n {
+                0 => assert_eq!(root, Digest::ZERO),
+                1 => assert_eq!(root, hash_leaf(l[0])),
+                _ => {}
+            }
+            for i in 0..n {
+                let (reference_root, reference_siblings) = reference_proof(&l, i).unwrap();
+                assert_eq!(root, reference_root, "n={n}");
+                let (proved_root, siblings) = merkle_proof(&l, i).unwrap();
+                assert_eq!(proved_root, reference_root, "n={n} i={i}");
+                assert_eq!(siblings, reference_siblings, "n={n} i={i}");
+            }
+            assert_eq!(merkle_proof(&l, n), reference_proof(&l, n), "n={n}");
+        }
     }
 
     #[test]

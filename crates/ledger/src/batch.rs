@@ -14,13 +14,40 @@
 //! A batch is immutable after construction and shares its transactions
 //! behind [`Arc`]s, so cloning a batch — and therefore a block or a protocol
 //! message carrying one — is O(1) regardless of batch size.
+//!
+//! ## Hashing a batch once: [`VerifiedBatch`]
+//!
+//! A [`Batch`] *claims* a root; whoever receives one (in a message, out of a
+//! stored block) must re-derive the root before relying on it, and deriving
+//! it is the most expensive step of a commit. [`VerifiedBatch`] is the proof,
+//! held as a value, that *this holder* made that derivation: it can only be
+//! obtained by sealing a transaction list or by checking a `Batch`. Code that
+//! takes a `VerifiedBatch` therefore needs no second derivation, and code
+//! that takes a `Batch` still has to make its own. The witness is never part
+//! of a `Batch`, never serialised and never sent: a message carries the plain
+//! `Batch`, so one replica's check cannot stand in for another's.
 
 use serde::{Deserialize, Serialize};
 use sharper_common::{ClusterId, TxId};
 use sharper_crypto::{merkle, Digest};
 use sharper_state::{Partitioner, Transaction};
+use std::cell::Cell;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
+
+thread_local! {
+    /// Merkle roots derived on this thread (see [`root_derivations`]).
+    static ROOT_DERIVATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many times [`Batch::compute_root`] has run on the calling thread.
+/// Tests difference it around a consensus round to pin how often a replica
+/// hashes a batch; nothing on the protocol path reads it.
+#[doc(hidden)]
+pub fn root_derivations() -> u64 {
+    ROOT_DERIVATIONS.get()
+}
 
 /// An ordered batch of transactions, committed to by a Merkle root.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,12 +60,10 @@ pub struct Batch {
 
 impl Batch {
     /// Creates a batch over the given transactions, computing the root.
+    /// The witness of that computation is dropped; keep it with
+    /// [`VerifiedBatch::seal`] when the batch is going to be appended here.
     pub fn new(txs: Vec<Arc<Transaction>>) -> Self {
-        let root = Self::compute_root(&txs);
-        Self {
-            txs: Arc::new(txs),
-            root,
-        }
+        VerifiedBatch::seal(txs).into_batch()
     }
 
     /// A batch holding a single transaction (the paper's one-transaction
@@ -56,6 +81,7 @@ impl Batch {
 
     /// Re-derives the Merkle root from a transaction list.
     pub fn compute_root(txs: &[Arc<Transaction>]) -> Digest {
+        ROOT_DERIVATIONS.set(ROOT_DERIVATIONS.get() + 1);
         let leaves: Vec<Digest> = txs.iter().map(|tx| tx.digest()).collect();
         merkle::merkle_root(&leaves)
     }
@@ -68,7 +94,8 @@ impl Batch {
 
     /// Recomputes the root from the carried transactions and checks it
     /// against the cached one. `false` means the batch was tampered with
-    /// after construction.
+    /// after construction. [`VerifiedBatch::check`] is the same check,
+    /// keeping the answer as a value.
     pub fn verify_root(&self) -> bool {
         Self::compute_root(&self.txs) == self.root
     }
@@ -147,6 +174,52 @@ impl Batch {
     }
 }
 
+/// A [`Batch`] whose cached root the holder has derived from its
+/// transactions — by building it or by checking it.
+///
+/// The field is private and there are exactly two ways in, [`seal`] and
+/// [`check`], each of which runs [`Batch::compute_root`]; there is
+/// deliberately no `From<Batch>`, `Default` or serde impl. It derefs to the
+/// batch for reading and offers nothing mutable, so the witness stays true
+/// for as long as it exists. Cloning shares the transactions like a `Batch`
+/// clone does.
+///
+/// [`seal`]: VerifiedBatch::seal
+/// [`check`]: VerifiedBatch::check
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VerifiedBatch(Batch);
+
+impl VerifiedBatch {
+    /// Builds a batch over `txs`, deriving its root.
+    pub fn seal(txs: Vec<Arc<Transaction>>) -> Self {
+        let root = Batch::compute_root(&txs);
+        Self(Batch {
+            txs: Arc::new(txs),
+            root,
+        })
+    }
+
+    /// Re-derives `batch`'s root from its transactions; `None` if it is not
+    /// the root the batch claims.
+    pub fn check(batch: Batch) -> Option<Self> {
+        batch.verify_root().then_some(Self(batch))
+    }
+
+    /// The plain batch, e.g. to put into a message. The witness stays
+    /// behind: whoever receives the batch checks it again.
+    pub fn into_batch(self) -> Batch {
+        self.0
+    }
+}
+
+impl Deref for VerifiedBatch {
+    type Target = Batch;
+
+    fn deref(&self) -> &Batch {
+        &self.0
+    }
+}
+
 impl From<Arc<Transaction>> for Batch {
     fn from(tx: Arc<Transaction>) -> Self {
         Self::single(tx)
@@ -219,6 +292,53 @@ mod tests {
         let forged = Batch::with_claimed_root(txs, honest.digest());
         assert!(!forged.verify_root());
         assert!(honest.verify_root());
+    }
+
+    #[test]
+    fn a_forged_batch_never_becomes_a_witness() {
+        let honest = Batch::new(vec![tx(0), tx(1), tx(2)]);
+        let mut swapped: Vec<Arc<Transaction>> = honest.txs().to_vec();
+        swapped[1] = tx(99);
+        let forgeries = [
+            // A transaction swapped under the honest root.
+            Batch::with_claimed_root(swapped, honest.digest()),
+            // The honest transactions under another root.
+            Batch::with_claimed_root(honest.txs().to_vec(), Digest::ZERO),
+            // Transactions claiming the empty batch's reserved root.
+            Batch::with_claimed_root(vec![tx(0)], Batch::empty().digest()),
+            // No transactions under a non-empty batch's root.
+            Batch::with_claimed_root(Vec::new(), honest.digest()),
+        ];
+        for forged in forgeries {
+            assert!(VerifiedBatch::check(forged.clone()).is_none(), "{forged}");
+            // A clone of a forgery shares its `Arc` with the original; the
+            // check of one says nothing about the other.
+            assert!(!forged.verify_root());
+        }
+        // The honest batch, and a correctly claimed one, pass — each at the
+        // price of one derivation — and come back unchanged.
+        let before = root_derivations();
+        let checked = VerifiedBatch::check(honest.clone()).expect("honest batch verifies");
+        assert_eq!(root_derivations(), before + 1);
+        assert_eq!(*checked, honest);
+        assert_eq!(checked.clone().into_batch(), honest);
+        let claimed = Batch::with_claimed_root(honest.txs().to_vec(), honest.digest());
+        assert!(VerifiedBatch::check(claimed).is_some());
+    }
+
+    #[test]
+    fn sealing_derives_the_root_once_and_equals_batch_new() {
+        let txs = vec![tx(0), tx(1), tx(2)];
+        let before = root_derivations();
+        let sealed = VerifiedBatch::seal(txs.clone());
+        assert_eq!(root_derivations(), before + 1);
+        assert_eq!(sealed.digest(), Batch::compute_root(&txs));
+        assert_eq!(sealed.into_batch(), Batch::new(txs));
+        assert_eq!(
+            VerifiedBatch::seal(Vec::new()).into_batch(),
+            Batch::empty(),
+            "the empty batch seals to the reserved zero root"
+        );
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! digest per involved cluster: "each cross-shard transaction includes the
 //! cryptographic hash of the previous transaction of every involved cluster".
 
-use crate::batch::Batch;
+use crate::batch::{Batch, VerifiedBatch};
 use serde::{Deserialize, Serialize};
 use sharper_common::{ClusterId, TxId};
 use sharper_crypto::{Digest, Sha256};
 use sharper_state::Transaction;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// The payload of a block.
@@ -34,8 +35,11 @@ pub enum BlockBody {
 /// `parents` maps every involved cluster to the digest of the previous block
 /// of that cluster; for an intra-shard block this map has a single entry.
 /// The block digest commits to all parents and to the batch's Merkle root
-/// (re-derived from the transactions, never trusted from the cache), so both
-/// the chaining and the batch contents are tamper-evident.
+/// (which [`verify_integrity`](Block::verify_integrity) re-derives from the
+/// transactions instead of trusting the cache), so both the chaining and the
+/// batch contents are tamper-evident. A `Block` is plain data — its fields
+/// are public and anyone can build one; [`VerifiedBlock`] is the form that
+/// records that the holder made that check.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Block {
     /// Parent digests, one per involved cluster, keyed by cluster id.
@@ -165,16 +169,68 @@ impl Block {
             BlockBody::Genesis => h.update(b"genesis-lambda"),
             BlockBody::Batch(batch) => {
                 // The cached root keeps block construction O(1) in batch
-                // size; it is safe to trust here because verify_integrity
-                // first re-derives the root from the transactions
-                // (Batch::verify_root), so a batch whose contents were
-                // swapped under a stale cached root can never verify.
+                // size. Nothing here vouches for it: a block's digest is
+                // only *relied on* through a `VerifiedBlock`, which exists
+                // either because the root came with a `VerifiedBatch`
+                // (`VerifiedBlock::chain`) or because `verify_integrity`
+                // re-derived it from the transactions first
+                // (`VerifiedBlock::check`) — so a batch whose contents were
+                // swapped under a stale cached root can never be appended.
                 h.update(b"batch:");
                 h.update(&(batch.len() as u64).to_le_bytes());
                 h.update(batch.digest().as_bytes());
             }
         }
         Digest(h.finalize())
+    }
+}
+
+/// A [`Block`] whose digest — and, through it, whose batch root — the holder
+/// has established: the counterpart of [`VerifiedBatch`] one level up, and
+/// what [`LedgerView::append_verified`](crate::LedgerView::append_verified)
+/// takes so that an honest block is hashed once per replica.
+///
+/// The field is private and there are exactly two ways in: [`chain`] a batch
+/// the holder already verified at given parents (one block digest, no root
+/// derivation), or [`check`] a block of unknown provenance (everything
+/// [`Block::verify_integrity`] re-derives). No `From<Block>`, `Default` or
+/// serde impl exists, it derefs to the block for reading and offers nothing
+/// mutable — `Block`'s public fields cannot be reached for writing through
+/// it.
+///
+/// [`chain`]: VerifiedBlock::chain
+/// [`check`]: VerifiedBlock::check
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VerifiedBlock(Block);
+
+impl VerifiedBlock {
+    /// The block carrying `batch` right after `parents`, exactly as
+    /// [`Block::batch`] builds it.
+    pub fn chain(
+        batch: VerifiedBatch,
+        parents: impl Into<Arc<BTreeMap<ClusterId, Digest>>>,
+    ) -> Self {
+        Self(Block::batch(batch.into_batch(), parents))
+    }
+
+    /// Re-derives `block`'s batch root and digest; `None` if either is not
+    /// what the block claims.
+    pub fn check(block: Block) -> Option<Self> {
+        block.verify_integrity().then_some(Self(block))
+    }
+
+    /// The plain block, as stored in a view. The witness stays behind: an
+    /// audit of the stored block re-derives everything.
+    pub fn into_block(self) -> Block {
+        self.0
+    }
+}
+
+impl Deref for VerifiedBlock {
+    type Target = Block;
+
+    fn deref(&self) -> &Block {
+        &self.0
     }
 }
 
@@ -320,6 +376,55 @@ mod tests {
         txs[1] = Arc::new(tx(77));
         b.body = BlockBody::Batch(Batch::with_claimed_root(txs, honest.digest()));
         assert!(!b.verify_integrity());
+    }
+
+    #[test]
+    fn a_forged_block_never_becomes_a_witness() {
+        let g = Block::genesis();
+        let honest = Batch::new(vec![Arc::new(tx(0)), Arc::new(tx(1)), Arc::new(tx(2))]);
+        let mut txs = honest.txs().to_vec();
+        txs[1] = Arc::new(tx(77));
+        let forged_batch = Batch::with_claimed_root(txs, honest.digest());
+        // The forged batch cannot be chained: there is no witness to chain.
+        assert!(VerifiedBatch::check(forged_batch.clone()).is_none());
+
+        // Built with the forger's own constructor the block digest matches
+        // the claimed root, so only the re-derived root exposes it.
+        let forged = Block::batch(forged_batch.clone(), single_parent(0, g.digest()));
+        let real = Block::batch(honest.clone(), single_parent(0, g.digest()));
+        assert_eq!(forged.digest(), real.digest());
+        assert!(VerifiedBlock::check(forged).is_none());
+
+        // A body or a parent swapped after construction fails on the digest.
+        let mut swapped_body = real.clone();
+        swapped_body.body = BlockBody::Batch(forged_batch);
+        assert!(VerifiedBlock::check(swapped_body).is_none());
+        let mut moved = real.clone();
+        moved.parents = Arc::new(single_parent(0, Digest::ZERO));
+        assert!(VerifiedBlock::check(moved).is_none());
+
+        assert_eq!(*VerifiedBlock::check(real.clone()).unwrap(), real);
+        assert!(VerifiedBlock::check(g).is_some());
+    }
+
+    #[test]
+    fn chaining_a_verified_batch_derives_no_root_and_equals_block_batch() {
+        use crate::batch::root_derivations;
+        let g = Block::genesis();
+        let sealed = VerifiedBatch::seal(vec![Arc::new(tx(0)), Arc::new(tx(1))]);
+        let before = root_derivations();
+        let first = VerifiedBlock::chain(sealed.clone(), single_parent(0, g.digest()));
+        // The same verified batch re-chained at another parent: O(1).
+        let second = VerifiedBlock::chain(sealed.clone(), single_parent(0, first.digest()));
+        assert_eq!(root_derivations(), before, "chaining hashes no transaction");
+        assert_eq!(
+            first.clone().into_block(),
+            Block::batch(sealed.clone().into_batch(), single_parent(0, g.digest()))
+        );
+        assert_ne!(first.digest(), second.digest());
+        // Checking a block is what costs the derivation.
+        VerifiedBlock::check(second.into_block()).unwrap();
+        assert_eq!(root_derivations(), before + 1);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod dag;
 pub mod view;
 
 pub use audit::{audit_replica_views, audit_views, check_replica_agreement, AuditReport};
-pub use batch::Batch;
-pub use block::{Block, BlockBody};
+pub use batch::{Batch, VerifiedBatch};
+pub use block::{Block, BlockBody, VerifiedBlock};
 pub use dag::DagLedger;
 pub use view::{Checkpoint, LedgerView};

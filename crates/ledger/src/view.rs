@@ -23,7 +23,7 @@
 //! query — "is this digest a committed position?" — answer identically
 //! before and after pruning.
 
-use crate::block::Block;
+use crate::block::{Block, VerifiedBlock};
 use serde::{Deserialize, Serialize};
 use sharper_common::{ClusterId, Error, LedgerConfig, Result, TxId};
 use sharper_crypto::{hash_parts, Digest};
@@ -151,23 +151,34 @@ impl LedgerView {
         self.len() - 1
     }
 
-    /// Appends a block, enforcing the hash chain for this cluster.
+    /// Appends a block of unknown provenance: re-derives its batch root and
+    /// digest ([`VerifiedBlock::check`]), then
+    /// [`append_verified`](Self::append_verified).
     ///
-    /// Returns an error if the block does not reference this cluster, if its
-    /// parent digest for this cluster is not the current head, if its digest
-    /// does not verify (including the batch's re-derived Merkle root), or if
-    /// any carried transaction was already committed (duplicate detection).
+    /// Returns an error if the block is the genesis block, if its digest
+    /// does not verify (including the batch's re-derived Merkle root), and
+    /// every error `append_verified` returns.
     pub fn append(&mut self, block: Block) -> Result<()> {
+        let digest = block.digest();
+        let block = VerifiedBlock::check(block).ok_or_else(|| {
+            Error::IntegrityViolation(format!("block {digest} fails digest verification"))
+        })?;
+        self.append_verified(block)
+    }
+
+    /// Appends a block whose digest the caller has already established,
+    /// enforcing the hash chain for this cluster. Hashes nothing; every
+    /// other admission check runs.
+    ///
+    /// Returns an error if the block is the genesis block, if it does not
+    /// reference this cluster, if its parent digest for this cluster is not
+    /// the current head, or if any carried transaction appears twice in it
+    /// or was already committed (duplicate detection).
+    pub fn append_verified(&mut self, block: VerifiedBlock) -> Result<()> {
         if block.is_genesis() {
             return Err(Error::ProtocolViolation(
                 "the genesis block cannot be appended".into(),
             ));
-        }
-        if !block.verify_integrity() {
-            return Err(Error::IntegrityViolation(format!(
-                "block {} fails digest verification",
-                block.digest()
-            )));
         }
         let parent = block.parent_for(self.cluster).ok_or_else(|| {
             Error::ProtocolViolation(format!(
@@ -215,7 +226,7 @@ impl LedgerView {
             }
         }
         self.index.insert(block.digest(), height);
-        self.blocks.push(block);
+        self.blocks.push(block.into_block());
         Ok(())
     }
 
@@ -603,6 +614,87 @@ mod tests {
         let lent = audit_replica_views(&[(ClusterId(0), &v)]).unwrap_err();
         assert!(matches!(lent, Error::IntegrityViolation(_)));
         assert_eq!(lent, audit_replica_views(&[(ClusterId(0), v)]).unwrap_err());
+    }
+
+    #[test]
+    fn the_witness_path_hashes_nothing_and_still_runs_every_other_check() {
+        use crate::batch::{root_derivations, VerifiedBatch};
+        use std::sync::Arc;
+        let seal =
+            |txs: Vec<Transaction>| VerifiedBatch::seal(txs.into_iter().map(Arc::new).collect());
+        let at = |cluster: u32, parent: Digest| BTreeMap::from([(ClusterId(cluster), parent)]);
+        let mut v = LedgerView::new(ClusterId(0));
+        let mut plain = v.clone();
+
+        // An honest verified block appends without a derivation and leaves
+        // the view exactly as `append(Block)` leaves it.
+        let first = VerifiedBlock::chain(seal(vec![tx(1, 0), tx(1, 1)]), at(0, v.head()));
+        let before = root_derivations();
+        v.append_verified(first.clone()).unwrap();
+        assert_eq!(
+            root_derivations(),
+            before,
+            "the witness path derives no root"
+        );
+        plain.append(first.clone().into_block()).unwrap();
+        assert_eq!(root_derivations(), before + 1, "the plain path derives one");
+        assert_eq!(v.head(), plain.head());
+        assert_eq!(v.committed_count(), plain.committed_count());
+        assert_eq!(v.position_of(TxId::new(ClientId(1), 1)), Some(1));
+        v.verify_chain().unwrap();
+
+        // Genesis, a foreign cluster, a stale parent, a transaction carried
+        // twice, a transaction already committed: the errors of `append`.
+        let genesis = VerifiedBlock::check(Block::genesis()).unwrap();
+        assert!(matches!(
+            v.append_verified(genesis),
+            Err(Error::ProtocolViolation(_))
+        ));
+        let foreign = VerifiedBlock::chain(seal(vec![tx(2, 0)]), at(1, v.head()));
+        assert!(matches!(
+            v.append_verified(foreign),
+            Err(Error::ProtocolViolation(_))
+        ));
+        let stale = VerifiedBlock::chain(seal(vec![tx(2, 0)]), at(0, Block::genesis().digest()));
+        assert!(matches!(
+            v.append_verified(stale),
+            Err(Error::SafetyViolation(_))
+        ));
+        let twice = VerifiedBlock::chain(seal(vec![tx(2, 0), tx(3, 0), tx(2, 0)]), at(0, v.head()));
+        assert!(matches!(
+            v.append_verified(twice),
+            Err(Error::ProtocolViolation(_))
+        ));
+        let again = VerifiedBlock::chain(seal(vec![tx(4, 0), tx(1, 1)]), at(0, v.head()));
+        assert!(matches!(
+            v.append_verified(again),
+            Err(Error::ProtocolViolation(_))
+        ));
+        // Every refusal left the view untouched.
+        assert_eq!(v.head(), first.digest());
+        assert_eq!(v.committed_count(), 2);
+        assert!(
+            !v.contains_tx(TxId::new(ClientId(4), 0)),
+            "claim rolled back"
+        );
+    }
+
+    #[test]
+    fn append_refuses_a_forged_batch_however_its_block_was_built() {
+        use crate::batch::Batch;
+        use std::sync::Arc;
+        let mut v = LedgerView::new(ClusterId(0));
+        let honest = Batch::new(vec![Arc::new(tx(1, 0)), Arc::new(tx(1, 1))]);
+        let mut forged_txs = honest.txs().to_vec();
+        forged_txs[0] = Arc::new(tx(9, 9));
+        let forged = Batch::with_claimed_root(forged_txs, honest.digest());
+        let parents = BTreeMap::from([(ClusterId(0), v.head())]);
+        // Built from the forgery, the block digest is self-consistent; only
+        // the re-derived root can refuse it — and `append` still does.
+        let err = v.append(Block::batch(forged, parents.clone())).unwrap_err();
+        assert!(matches!(err, Error::IntegrityViolation(_)));
+        assert!(v.is_empty());
+        v.append(Block::batch(honest, parents)).unwrap();
     }
 
     #[test]
