@@ -12,7 +12,6 @@
 //! * the per-cluster shard groups of AHL (ordering both intra-shard
 //!   transactions and the reference committee's 2PC sub-requests).
 
-use serde::{Deserialize, Serialize};
 use sharper_common::{ClusterId, CostModel, FailureModel, NodeId, TxId};
 use sharper_crypto::Digest;
 use sharper_ledger::{Block, LedgerView};
@@ -25,7 +24,7 @@ use std::sync::Arc;
 ///
 /// As with the SharPer protocol messages, transactions ride behind [`Arc`]
 /// so request forwarding, proposals and fast-path multicasts clone in O(1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BMsg {
     /// A request to order `tx`; the reply goes to `reply_to` (a client, or
     /// the AHL reference committee acting as 2PC coordinator).
@@ -97,7 +96,7 @@ pub enum BMsg {
 
 /// `ActorId` is not serialisable (it is a simulator-level type), so messages
 /// carry this wire representation instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActorIdWire {
     /// A replica.
     Node(u32),

@@ -4,6 +4,7 @@
 //!   cargo run -p sharper-bench --release --bin figures            # all figures
 //!   cargo run -p sharper-bench --release --bin figures -- --fig 6a --quick
 //!   cargo run -p sharper-bench --release --bin figures -- --fig parallel
+//!   cargo run -p sharper-bench --release --bin figures -- --fig ablation --quick
 //!   cargo run -p sharper-bench --release --bin figures -- --threads per-cluster
 //!   cargo run -p sharper-bench --release --bin figures -- --out results/
 //!
@@ -12,7 +13,9 @@
 //! determinism guarantee it changes wall-clock time only, never the curves.
 //! `--fig parallel` runs the speedup sweep that measures exactly that
 //! trade-off: the same fig8-style deployments executed sequentially and in
-//! parallel, with both wall-clock times recorded.
+//! parallel, with both wall-clock times recorded. `--fig ablation` runs the
+//! super-primary and group-aware-clustering ablations (see
+//! [`figure_ablation`]).
 //!
 //! Output: one text table per figure (system, clients, throughput, latency),
 //! plus a machine-readable `BENCH_<figure>.json` file per figure so the
@@ -21,8 +24,8 @@
 
 use sharper_bench::{
     batching_to_json, cli_flag_value, cli_thread_mode, exec_to_json, fig8xl_to_json,
-    figure_batching, figure_cross_shard_sweep, figure_exec, figure_fig8xl, figure_parallel,
-    figure_reshard, figure_scalability, figure_to_json, parallel_to_json,
+    figure_ablation, figure_batching, figure_cross_shard_sweep, figure_exec, figure_fig8xl,
+    figure_parallel, figure_reshard, figure_scalability, figure_to_json, parallel_to_json,
     reshard_fairness_markdown, reshard_to_json, BatchSeries, ExecSweep, Fig8xlSweep, ParallelSweep,
     ReshardSweep, Series,
 };
@@ -84,7 +87,7 @@ fn main() {
 
     let known = [
         "6a", "6b", "6c", "6d", "7a", "7b", "7c", "7d", "8a", "8b", "fig8xl", "batching",
-        "parallel", "exec", "reshard",
+        "parallel", "exec", "reshard", "ablation",
     ];
     if let Some(f) = only.as_deref() {
         if !known.iter().any(|k| k.eq_ignore_ascii_case(f)) {
@@ -139,6 +142,16 @@ fn main() {
             &out_dir,
             "fig8b",
             "Figure 8b: SharPer scalability, Byzantine, 10% cross-shard",
+            &series,
+        );
+    }
+    if wants("ablation") {
+        let series = figure_ablation(threads, duration);
+        emit(
+            &out_dir,
+            "ablation",
+            "Ablations: super-primary initiation (crash, 4 clusters) and \
+             group-aware clustering (Byzantine, 10% cross-shard)",
             &series,
         );
     }

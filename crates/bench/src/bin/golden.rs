@@ -1,37 +1,32 @@
-//! Emits the golden-seed ledger digests of a fixed set of deployments.
+//! The determinism gate: runs every golden deployment under every engine,
+//! executor and ledger-retention mode and checks that each mode reproduces
+//! the deployment's reference line bit for bit.
 //!
 //! Usage:
-//!   cargo run -p sharper-bench --release --bin golden -- \
-//!       --threads sequential --out golden-sequential.txt
-//!   cargo run -p sharper-bench --release --bin golden -- \
-//!       --threads per-cluster --out golden-per-cluster.txt
+//!   cargo run -p sharper-bench --release --bin golden -- --out golden-sequential.txt
 //!
-//! Each line of the output file is `<config> <ledger-digest> <committed>
-//! <delivered> <dropped>`. The CI determinism gate runs this binary once per
-//! thread mode and `diff`s the files: the conservative parallel scheduler
-//! guarantees bit-identical results, so any divergence is a scheduler bug
-//! and fails the build.
+//! Each run yields one line `<config> <ledger-digest> <committed>
+//! <delivered> <dropped>` (reshard deployments append `reshards=<n>`). The
+//! reference is the sequential engine with the serial executor and a
+//! retain-all ledger. The matrix:
 //!
-//! `--exec <partitions>` additionally runs every replica's apply path
-//! through the partitioned executor (with two worker threads). Like
-//! `--threads`, it must never change a single output byte: the partitioned
-//! scheduler is conflict-ordered and the pipeline charges the same execution
-//! cost in every mode, so CI diffs `--exec N` output against the serial
-//! run too.
+//! * the four static deployments under the sequential, per-cluster and
+//!   fixed two-worker engines, the partitioned executor at 2 and 4
+//!   partitions (two worker threads each), and a truncating ledger
+//!   (checkpoint every 8 blocks, retain 64);
+//! * the two dynamic-resharding deployments (one scripted split + merge,
+//!   one load-driven run under a drifting hotspot) under the three engines
+//!   and the truncating ledger. Reconfiguration rides the ordinary
+//!   consensus path, so these must be just as bit-identical.
 //!
-//! `--retain <interval>,<blocks>` runs every replica's ledger with
-//! checkpointing + truncation (checkpoint every `interval` blocks, retain a
-//! `blocks`-deep tail). The rolling checkpoint digest keeps the ledger
-//! digest bit-identical to the retain-all default, so CI diffs `--retain`
-//! output against the untruncated run too.
-//!
-//! `--reshard` swaps in the dynamic-resharding golden deployments instead:
-//! one scripted split + merge pair and one load-driven run under a drifting
-//! hotspot. Reconfiguration rides the ordinary consensus path, so these
-//! digests must be just as bit-identical across thread modes and under
-//! truncation as the static ones.
+//! None of the modes may change a byte: the conservative parallel scheduler
+//! is deterministic, the partitioned executor is conflict-ordered and
+//! charges the serial cost, and the rolling checkpoint digest keeps a
+//! truncating ledger's digest equal to the retain-all one. The binary exits
+//! 1 naming the first (config, mode) that differs. `--out` receives the six
+//! reference lines, static deployments first.
 
-use sharper_bench::{cli_flag_value, cli_thread_mode};
+use sharper_bench::{cli_flag_value, golden_divergence, GoldenRun};
 use sharper_common::{
     BatchConfig, Duration, ExecutorConfig, FailureModel, ForcedMove, LedgerConfig, ReshardConfig,
     SimTime, ThreadMode,
@@ -101,8 +96,7 @@ const CONFIGS: &[GoldenConfig] = &[
 const ACCOUNTS: u64 = 1_000;
 
 /// A golden deployment with the dynamic-resharding plane active (crash model
-/// only). Run with `--reshard`; the digest-diff matrix covers these across
-/// the same thread/executor/retention modes as the base configs.
+/// only).
 struct ReshardGoldenConfig {
     name: &'static str,
     cross_ratio: f64,
@@ -172,19 +166,50 @@ fn reshard_configs() -> Vec<ReshardGoldenConfig> {
     ]
 }
 
-fn run_reshard_config(
-    cfg: &ReshardGoldenConfig,
+/// One mode of the matrix: how the simulator, the executor and the ledger
+/// run a deployment.
+struct Mode {
+    name: &'static str,
     threads: ThreadMode,
     exec: ExecutorConfig,
     ledger: LedgerConfig,
-) -> String {
+    /// Whether the reshard deployments run under this mode too.
+    reshard: bool,
+}
+
+/// The modes of the matrix, the reference first.
+fn modes() -> [Mode; 6] {
+    use ThreadMode::{Fixed, PerCluster, Sequential};
+    let mode = |name, threads, exec, ledger, reshard| Mode {
+        name,
+        threads,
+        exec,
+        ledger,
+        reshard,
+    };
+    let (serial, partitioned) = (ExecutorConfig::default(), ExecutorConfig::partitioned);
+    let (all, truncated) = (
+        LedgerConfig::retain_all(),
+        LedgerConfig::checkpointed(8, 64),
+    );
+    [
+        mode("sequential", Sequential, serial, all, true),
+        mode("per-cluster", PerCluster, serial, all, true),
+        mode("fixed-2", Fixed(2), serial, all, true),
+        mode("exec-2", Sequential, partitioned(2, 2), all, false),
+        mode("exec-4", Sequential, partitioned(4, 2), all, false),
+        mode("retain-8,64", Sequential, serial, truncated, true),
+    ]
+}
+
+fn run_reshard_config(cfg: &ReshardGoldenConfig, mode: &Mode) -> String {
     let mut params = SystemParams::new(FailureModel::Crash, 3, 1)
         .with_faults(FaultPlan::none().with_drop_probability(cfg.drop_probability))
         .with_seed(cfg.seed)
         .with_batching(BatchConfig::with_size(1))
-        .with_threads(threads)
-        .with_executor(exec)
-        .with_ledger(ledger)
+        .with_threads(mode.threads)
+        .with_executor(mode.exec)
+        .with_ledger(mode.ledger)
         .with_reshard(cfg.reshard.clone());
     params.accounts_per_shard = ACCOUNTS;
     params.warmup = SimTime::from_millis(100);
@@ -207,19 +232,14 @@ fn run_reshard_config(
     )
 }
 
-fn run_config(
-    cfg: &GoldenConfig,
-    threads: ThreadMode,
-    exec: ExecutorConfig,
-    ledger: LedgerConfig,
-) -> String {
+fn run_config(cfg: &GoldenConfig, mode: &Mode) -> String {
     let mut params = SystemParams::new(cfg.model, cfg.clusters, 1)
         .with_faults(FaultPlan::none().with_drop_probability(cfg.drop_probability))
         .with_seed(cfg.seed)
         .with_batching(BatchConfig::with_size(cfg.max_batch))
-        .with_threads(threads)
-        .with_executor(exec)
-        .with_ledger(ledger);
+        .with_threads(mode.threads)
+        .with_executor(mode.exec)
+        .with_ledger(mode.ledger);
     params.accounts_per_shard = ACCOUNTS;
     params.warmup = SimTime::from_millis(100);
     let clusters = cfg.clusters as u32;
@@ -242,49 +262,39 @@ fn run_config(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let threads = cli_thread_mode(&args);
+    if !(args.len() == 1 || args.len() == 3 && args[1] == "--out") {
+        eprintln!("usage: golden [--out FILE]");
+        std::process::exit(2);
+    }
     let out = cli_flag_value(&args, "--out");
-    let exec = match cli_flag_value(&args, "--exec") {
-        None => ExecutorConfig::default(),
-        Some(p) => match p.parse::<usize>() {
-            Ok(partitions) => ExecutorConfig::partitioned(partitions, 2),
-            Err(e) => {
-                eprintln!("invalid --exec value {p:?}: {e}");
-                std::process::exit(2);
-            }
-        },
+    let modes = modes();
+    let mut runs = Vec::new();
+    let mut record = |config, mode: &Mode, line: String| {
+        println!("[{}] {line}", mode.name);
+        runs.push(GoldenRun {
+            config,
+            mode: mode.name,
+            line,
+        });
     };
-    let ledger = match cli_flag_value(&args, "--retain") {
-        None => LedgerConfig::retain_all(),
-        Some(spec) => {
-            let parts: Vec<usize> = spec.split(',').filter_map(|p| p.parse().ok()).collect();
-            match parts.as_slice() {
-                [interval, blocks] => LedgerConfig::checkpointed(*interval, *blocks),
-                _ => {
-                    eprintln!("invalid --retain value {spec:?}: expected <interval>,<blocks>");
-                    std::process::exit(2);
-                }
-            }
-        }
-    };
-
-    let reshard = args.iter().any(|a| a == "--reshard");
-    let mut lines = Vec::with_capacity(CONFIGS.len());
-    if reshard {
-        for cfg in &reshard_configs() {
-            let line = run_reshard_config(cfg, threads, exec, ledger);
-            println!("[{threads}] {line}");
-            lines.push(line);
-        }
-    } else {
-        for cfg in CONFIGS {
-            let line = run_config(cfg, threads, exec, ledger);
-            println!("[{threads}] {line}");
-            lines.push(line);
+    for cfg in CONFIGS {
+        for mode in &modes {
+            record(cfg.name, mode, run_config(cfg, mode));
         }
     }
-    let body = lines.join("\n") + "\n";
+    for cfg in &reshard_configs() {
+        for mode in modes.iter().filter(|m| m.reshard) {
+            record(cfg.name, mode, run_reshard_config(cfg, mode));
+        }
+    }
+
+    let reference = modes[0].name;
     if let Some(path) = out {
+        let body: String = runs
+            .iter()
+            .filter(|r| r.mode == reference)
+            .map(|r| format!("{}\n", r.line))
+            .collect();
         match std::fs::File::create(&path).and_then(|mut f| f.write_all(body.as_bytes())) {
             Ok(()) => println!("GOLDEN {path}"),
             Err(e) => {
@@ -293,4 +303,12 @@ fn main() {
             }
         }
     }
+    if let Some((config, mode)) = golden_divergence(&runs) {
+        eprintln!("golden: {config} under {mode} differs from its {reference} run");
+        std::process::exit(1);
+    }
+    println!(
+        "golden: all {} runs are bit-identical to their {reference} run",
+        runs.len()
+    );
 }

@@ -26,33 +26,12 @@
 //! they depend on the runner's core count and load. Only simulated
 //! throughput is.
 
-use sharper_bench::cli_flag_value;
+use sharper_bench::{cli_flag_value, throughput_values};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
 /// The figures the gate tracks, in the order they are reported.
 const GATED_FIGURES: &[&str] = &["fig6a", "batching", "parallel", "exec", "fig8xl", "reshard"];
-
-/// Extracts every `"throughput_tps":<number>` value from a BENCH json
-/// document. The format is produced by this workspace (see
-/// `sharper_bench::figure_to_json`), so a targeted scan is exact — no
-/// general JSON parser is needed (or available offline).
-fn throughput_values(json: &str) -> Vec<f64> {
-    const NEEDLE: &str = "\"throughput_tps\":";
-    let mut values = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find(NEEDLE) {
-        rest = &rest[pos + NEEDLE.len()..];
-        let end = rest
-            .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].parse::<f64>() {
-            values.push(v);
-        }
-        rest = &rest[end..];
-    }
-    values
-}
 
 /// The headline metric of one figure: the maximum throughput of any point.
 fn headline(fresh_dir: &Path, figure: &str) -> Option<f64> {

@@ -5,19 +5,22 @@
 //! sweeping the number of closed-loop clients until saturation; the harness
 //! runs the same sweep on the simulator for SharPer and for every baseline.
 //!
-//! * Criterion benches (`benches/…`) run one representative point per system
-//!   and figure so `cargo bench` exercises every experiment quickly.
 //! * The `figures` binary (`cargo run -p sharper-bench --release --bin
 //!   figures`) runs the full sweeps and prints the series that correspond to
 //!   Figures 6(a)–(d), 7(a)–(d) and 8(a)–(b), plus the two ablations
-//!   described in DESIGN.md.
+//!   (`--fig ablation`, see [`figure_ablation`]).
+//! * The `golden`, `faultsweep`, `tracecheck` and `perfgate` binaries are
+//!   the CI gates: the determinism matrix, the fault sweep, the trace
+//!   invariants and the simulated-throughput regression check.
+//!
+//! Per-layer host timings (hashing, block build, ledger append, message
+//! clone, …) live in the repo benchmark, `sharperbench layers`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod trace;
 
-use serde::Serialize;
 use sharper_baselines::{BaselineKind, BaselineParams, BaselineSystem};
 use sharper_common::{
     AccountId, BatchConfig, ClientId, ClusterId, CostModel, Duration, FailureModel,
@@ -35,7 +38,7 @@ use std::time::Instant;
 pub const ACCOUNTS_PER_SHARD: u64 = 2_000;
 
 /// One point of a throughput/latency curve.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CurvePoint {
     /// Number of closed-loop clients producing this point.
     pub clients: usize,
@@ -64,7 +67,7 @@ pub struct CurvePoint {
 }
 
 /// One system's curve for one figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// The system's label ("SharPer", "AHL-C", ...).
     pub system: String,
@@ -117,6 +120,27 @@ pub fn figure_to_json(figure: &str, series: &[Series]) -> String {
     )
 }
 
+/// Extracts every `"throughput_tps":<number>` value from a BENCH json
+/// document. The format is produced by this crate (see [`figure_to_json`]),
+/// so a targeted scan is exact — no general JSON parser is needed (or
+/// available offline).
+pub fn throughput_values(json: &str) -> Vec<f64> {
+    const NEEDLE: &str = "\"throughput_tps\":";
+    let mut values = Vec::new();
+    let mut rest = json;
+    while let Some(pos) = rest.find(NEEDLE) {
+        rest = &rest[pos + NEEDLE.len()..];
+        let end = rest
+            .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        if let Ok(v) = rest[..end].parse::<f64>() {
+            values.push(v);
+        }
+        rest = &rest[end..];
+    }
+    values
+}
+
 /// Escapes a string as a JSON string literal.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -157,24 +181,6 @@ fn traced_curve_point(system: &mut SharperSystem, clients: usize, duration: SimT
     }
 }
 
-/// Runs SharPer at one operating point on the sequential engine.
-pub fn sharper_point(
-    model: FailureModel,
-    clusters: usize,
-    cross_ratio: f64,
-    clients: usize,
-    duration: SimTime,
-) -> CurvePoint {
-    sharper_point_threads(
-        model,
-        clusters,
-        cross_ratio,
-        clients,
-        ThreadMode::Sequential,
-        duration,
-    )
-}
-
 /// Runs SharPer at one operating point under an explicit simulator thread
 /// mode. The mode never changes the measured results — parallel runs are
 /// bit-identical to sequential ones — only the harness's wall-clock time.
@@ -186,12 +192,34 @@ pub fn sharper_point_threads(
     threads: ThreadMode,
     duration: SimTime,
 ) -> CurvePoint {
+    sharper_point_initiated(
+        model,
+        clusters,
+        cross_ratio,
+        clients,
+        InitiationPolicy::SuperPrimary,
+        threads,
+        duration,
+    )
+}
+
+/// Like [`sharper_point_threads`] under an explicit cross-shard initiation
+/// policy (ablation A1 compares the two).
+fn sharper_point_initiated(
+    model: FailureModel,
+    clusters: usize,
+    cross_ratio: f64,
+    clients: usize,
+    initiation: InitiationPolicy,
+    threads: ThreadMode,
+    duration: SimTime,
+) -> CurvePoint {
     let mut params = SystemParams::new(model, clusters, 1)
         .with_threads(threads)
         .with_tracing(true);
     params.accounts_per_shard = ACCOUNTS_PER_SHARD;
     params.warmup = SimTime::from_millis(300);
-    params.initiation_policy = InitiationPolicy::SuperPrimary;
+    params.initiation_policy = initiation;
     let mut system = SharperSystem::build(params, clients, |client| {
         let mut cfg = WorkloadConfig::evaluation(clusters as u32, cross_ratio);
         cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
@@ -201,28 +229,8 @@ pub fn sharper_point_threads(
 }
 
 /// Runs SharPer at one operating point with an explicit batching policy.
-/// Clients pipeline `max_batch_size` requests so batches actually fill.
-pub fn sharper_point_batched(
-    model: FailureModel,
-    clusters: usize,
-    cross_ratio: f64,
-    clients: usize,
-    max_batch_size: usize,
-    duration: SimTime,
-) -> CurvePoint {
-    sharper_point_batched_threads(
-        model,
-        clusters,
-        cross_ratio,
-        clients,
-        max_batch_size,
-        ThreadMode::Sequential,
-        duration,
-    )
-}
-
-/// Like [`sharper_point_batched`] but under an explicit simulator thread
-/// mode (which never changes the measured results).
+/// Clients pipeline `max_batch_size` requests so batches actually fill. The
+/// thread mode never changes the measured results.
 #[allow(clippy::too_many_arguments)]
 pub fn sharper_point_batched_threads(
     model: FailureModel,
@@ -252,7 +260,7 @@ pub fn sharper_point_batched_threads(
 }
 
 /// One point of the throughput-vs-batch-size sweep.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BatchPoint {
     /// `max_batch_size` producing this point.
     pub batch_size: usize,
@@ -267,7 +275,7 @@ pub struct BatchPoint {
 }
 
 /// One system's throughput-vs-batch-size curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BatchSeries {
     /// The configuration label (failure model and workload).
     pub system: String,
@@ -354,26 +362,6 @@ pub fn figure_batching(
         speedup_vs_unbatched: if baseline > 0.0 { best / baseline } else { 0.0 },
     });
     series
-}
-
-/// Runs SharPer without the super-primary optimisation (ablation A1).
-pub fn sharper_point_no_super_primary(
-    model: FailureModel,
-    clusters: usize,
-    cross_ratio: f64,
-    clients: usize,
-    duration: SimTime,
-) -> CurvePoint {
-    let mut params = SystemParams::new(model, clusters, 1).with_tracing(true);
-    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    params.warmup = SimTime::from_millis(300);
-    params.initiation_policy = InitiationPolicy::AnyInvolvedCluster;
-    let mut system = SharperSystem::build(params, clients, |client| {
-        let mut cfg = WorkloadConfig::evaluation(clusters as u32, cross_ratio);
-        cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-        WorkloadGenerator::new(client, cfg)
-    });
-    traced_curve_point(&mut system, clients, duration)
 }
 
 /// Runs one baseline at one operating point.
@@ -477,10 +465,61 @@ pub fn figure_scalability(
         .collect()
 }
 
+/// Runs the two ablations of the evaluation (`figures --fig ablation`), one
+/// single-point series per arm:
+///
+/// * **A1, super-primary initiation (§3.2).** Crash model, 4 clusters, 8
+///   clients, at 20% and 80% cross-shard load: one super-primary initiates
+///   every cross-shard transaction, so conflicting proposals are ordered
+///   instead of racing, against any involved cluster initiating.
+/// * **A2, group-aware clustering (§3.4).** Byzantine, 10% cross-shard, 4
+///   clients per cluster: the 2 clusters a global worst-case fault budget
+///   allows against the 5 that group-aware clustering forms from the same
+///   nodes (the paper's example).
+pub fn figure_ablation(threads: ThreadMode, duration: SimTime) -> Vec<Series> {
+    let mut series = Vec::new();
+    for ratio in [0.2, 0.8] {
+        let pct = (ratio * 100.0) as u32;
+        for (arm, initiation) in [
+            ("super-primary", InitiationPolicy::SuperPrimary),
+            ("any-initiator", InitiationPolicy::AnyInvolvedCluster),
+        ] {
+            let point = sharper_point_initiated(
+                FailureModel::Crash,
+                4,
+                ratio,
+                8,
+                initiation,
+                threads,
+                duration,
+            );
+            series.push(Series {
+                system: format!("{arm} {pct}%"),
+                points: vec![point],
+            });
+        }
+    }
+    for (arm, clusters) in [("global-f", 2usize), ("group-aware", 5)] {
+        let point = sharper_point_threads(
+            FailureModel::Byzantine,
+            clusters,
+            0.10,
+            4 * clusters,
+            threads,
+            duration,
+        );
+        series.push(Series {
+            system: format!("{arm} {clusters} clusters"),
+            points: vec![point],
+        });
+    }
+    series
+}
+
 /// One point of the parallel-simulation speedup sweep: the same fig8-style
 /// deployment executed by the sequential engine and by the conservative
 /// parallel engine, with wall-clock times for both.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ParallelPoint {
     /// Number of clusters (= lanes = workers in per-cluster mode).
     pub clusters: usize,
@@ -509,7 +548,7 @@ pub struct ParallelPoint {
 
 /// The parallel speedup sweep: per-point results plus the environment that
 /// produced them (wall-clock speedup is meaningless without the core count).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ParallelSweep {
     /// The parallel thread mode that was measured (e.g. "per-cluster").
     pub threads: String,
@@ -609,7 +648,7 @@ pub fn peak_rss_mb() -> f64 {
 /// deployment pushed to 32–128 clusters and ≥100k closed-loop clients, run
 /// with ledger truncation on so retained state — and the harness's peak RSS —
 /// stays bounded while the logical chain keeps growing.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8xlPoint {
     /// Number of clusters (= shards).
     pub clusters: usize,
@@ -639,7 +678,7 @@ pub struct Fig8xlPoint {
 }
 
 /// The fig8xl sweep: every point plus the host environment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8xlSweep {
     /// The simulator thread mode the sweep ran under.
     pub threads: String,
@@ -764,7 +803,7 @@ pub fn fig8xl_to_json(sweep: &Fig8xlSweep) -> String {
 /// One point of the partitioned-executor sweep: the same uniform transfer
 /// stream applied through the partitioned scheduler and through the serial
 /// executor, with the modelled apply-path cost of each.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExecPoint {
     /// State partitions of the shard's account store.
     pub partitions: usize,
@@ -795,7 +834,7 @@ pub struct ExecPoint {
 }
 
 /// The executor sweep: every point plus the host environment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ExecSweep {
     /// Worker threads available to the harness process.
     pub host_cpus: usize,
@@ -972,6 +1011,33 @@ pub fn cli_thread_mode(args: &[String]) -> ThreadMode {
     }
 }
 
+/// One run of the `golden` determinism matrix: a deployment, the mode
+/// (engine, executor or ledger retention) it ran under, and its output line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GoldenRun {
+    /// The golden deployment's name.
+    pub config: &'static str,
+    /// The mode the deployment ran under.
+    pub mode: &'static str,
+    /// `<config> <ledger-digest> <committed> <delivered> <dropped>[ …]`.
+    pub line: String,
+}
+
+/// The first run of a golden matrix whose line differs from its
+/// deployment's reference — the deployment's first run — as
+/// `(config, mode)`; `None` when every mode reproduced its reference.
+pub fn golden_divergence(runs: &[GoldenRun]) -> Option<(&'static str, &'static str)> {
+    let mut references: Vec<&GoldenRun> = Vec::new();
+    for run in runs {
+        match references.iter().find(|r| r.config == run.config) {
+            None => references.push(run),
+            Some(reference) if reference.line != run.line => return Some((run.config, run.mode)),
+            Some(_) => {}
+        }
+    }
+    None
+}
+
 /// Renders the parallel sweep as the `BENCH_parallel.json` document.
 pub fn parallel_to_json(sweep: &ParallelSweep) -> String {
     let points: Vec<String> = sweep
@@ -1053,7 +1119,7 @@ fn reshard_workload(client: ClientId) -> WorkloadGenerator {
 
 /// One operating point of the reshard figure: the same hot-key-drift
 /// workload with the resharding plane off ("static") or on ("dynamic").
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ReshardPoint {
     /// "static" (fixed genesis shard map) or "dynamic" (online split/merge).
     pub system: String,
@@ -1073,7 +1139,7 @@ pub struct ReshardPoint {
 
 /// One row of the cross-shard fairness table: completions per initiator
 /// cluster under 100% cross-shard load.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FairnessEntry {
     /// The initiating cluster.
     pub cluster: u32,
@@ -1083,7 +1149,7 @@ pub struct FairnessEntry {
 
 /// The full reshard sweep: static vs dynamic under hot-key drift, plus the
 /// cross-shard fairness table at 100% cross-shard load.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ReshardSweep {
     /// Clusters in the deployment.
     pub clusters: usize,
@@ -1266,7 +1332,14 @@ mod tests {
 
     #[test]
     fn sharper_point_produces_throughput() {
-        let p = sharper_point(FailureModel::Crash, 4, 0.2, 8, QUICK);
+        let p = sharper_point_threads(
+            FailureModel::Crash,
+            4,
+            0.2,
+            8,
+            ThreadMode::Sequential,
+            QUICK,
+        );
         assert!(p.throughput_tps > 0.0);
         assert!(p.latency_ms > 0.0);
         assert!(p.committed > 0);
@@ -1289,10 +1362,18 @@ mod tests {
         // The headline acceptance claim of the batching layer: one Byzantine
         // cluster under pure intra-shard load, identical seed/topology and
         // offered load, only max_batch_size varies.
-        let unbatched =
-            sharper_point_batched(FailureModel::Byzantine, 1, 0.0, 16, 1, SimTime(1_200_000));
-        let batched =
-            sharper_point_batched(FailureModel::Byzantine, 1, 0.0, 16, 16, SimTime(1_200_000));
+        let point = |batch| {
+            sharper_point_batched_threads(
+                FailureModel::Byzantine,
+                1,
+                0.0,
+                16,
+                batch,
+                ThreadMode::Sequential,
+                SimTime(1_200_000),
+            )
+        };
+        let (unbatched, batched) = (point(1), point(16));
         assert!(
             batched.throughput_tps >= 4.0 * unbatched.throughput_tps,
             "batch=16 {:.0} tps vs batch=1 {:.0} tps",
@@ -1334,12 +1415,70 @@ mod tests {
     }
 
     #[test]
+    fn ablation_figure_runs_both_arms_of_both_ablations() {
+        let series = figure_ablation(ThreadMode::Sequential, QUICK);
+        let labels: Vec<&str> = series.iter().map(|s| s.system.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "super-primary 20%",
+                "any-initiator 20%",
+                "super-primary 80%",
+                "any-initiator 80%",
+                "global-f 2 clusters",
+                "group-aware 5 clusters",
+            ]
+        );
+        let points: Vec<&CurvePoint> = series.iter().flat_map(|s| &s.points).collect();
+        assert_eq!(points.len(), 6);
+        assert!(points.iter().all(|p| p.committed > 0));
+        let clients: Vec<usize> = points.iter().map(|p| p.clients).collect();
+        assert_eq!(clients, [8, 8, 8, 8, 8, 20]);
+        // The BENCH document is one perfgate can read: one throughput per
+        // point, in series order, as rendered (three decimals).
+        let parsed = throughput_values(&figure_to_json("ablation", &series));
+        let rendered: Vec<f64> = points
+            .iter()
+            .map(|p| format!("{:.3}", p.throughput_tps).parse().unwrap())
+            .collect();
+        assert_eq!(parsed, rendered);
+    }
+
+    #[test]
+    fn golden_divergence_names_the_first_differing_config_and_mode() {
+        let run = |config, mode, line: &str| GoldenRun {
+            config,
+            mode,
+            line: line.to_string(),
+        };
+        let mut runs = vec![
+            run("a", "sequential", "a 01 5 9 0"),
+            run("a", "per-cluster", "a 01 5 9 0"),
+            run("b", "sequential", "b 02 7 3 1"),
+            run("b", "per-cluster", "b 02 7 3 1"),
+            run("b", "retain-8,64", "b 02 7 3 1"),
+        ];
+        assert_eq!(golden_divergence(&runs), None);
+        // Each deployment is held to its own reference, not to another's.
+        runs[3].line = "b 03 7 3 1".to_string();
+        runs[4].line = "b 04 7 3 1".to_string();
+        assert_eq!(golden_divergence(&runs), Some(("b", "per-cluster")));
+    }
+
+    #[test]
     fn sharper_beats_non_sharded_baselines_on_intra_shard_load() {
         // The headline claim behind Fig. 6(a): with no cross-shard
         // transactions, four independent clusters outperform a single
         // consensus group by a wide margin. Enough clients are needed to
         // push the single APR-C group into saturation.
-        let sharper = sharper_point(FailureModel::Crash, 4, 0.0, 224, QUICK);
+        let sharper = sharper_point_threads(
+            FailureModel::Crash,
+            4,
+            0.0,
+            224,
+            ThreadMode::Sequential,
+            QUICK,
+        );
         let apr = baseline_point(BaselineKind::AprC, 0.0, 224, QUICK);
         assert!(
             sharper.throughput_tps > 1.5 * apr.throughput_tps,

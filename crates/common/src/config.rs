@@ -9,7 +9,6 @@
 use crate::error::{Error, Result};
 use crate::ids::{ClusterId, NodeId};
 use crate::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -25,7 +24,7 @@ use std::fmt;
 /// ever armed.
 ///
 /// [`max_batch_size`]: BatchConfig::max_batch_size
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Maximum number of transactions per block. A full queue is flushed
     /// immediately; `1` disables batching.
@@ -53,11 +52,6 @@ impl BatchConfig {
             max_batch_size: max_batch_size.max(1),
             ..Self::default()
         }
-    }
-
-    /// Whether batching is enabled (more than one transaction per block).
-    pub fn enabled(&self) -> bool {
-        self.max_batch_size > 1
     }
 }
 
@@ -264,7 +258,7 @@ impl SimConfig {
 /// A scheduled range move for deterministic reshard tests: at `at` sim-time
 /// the coordinator issues a directive moving `[start, start + len)` to
 /// cluster `to`, regardless of observed load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForcedMove {
     /// Sim-time offset (from run start) at which the move is issued.
     pub at: Duration,
@@ -285,7 +279,7 @@ pub struct ForcedMove {
 /// directive executes as a freeze + cross-shard handover transaction, so
 /// reconfiguration is ordered, committed and audited like any other block —
 /// and, like every protocol input, is a deterministic function of the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReshardConfig {
     /// Master switch; everything below is inert when false.
     pub enabled: bool,
@@ -346,7 +340,7 @@ impl ReshardConfig {
 }
 
 /// The failure model followed by the replicas (§2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureModel {
     /// Nodes may fail by stopping (and possibly restarting) but never lie.
     /// Clusters need `2f + 1` nodes and quorums of `f + 1`.
@@ -391,7 +385,7 @@ impl fmt::Display for FailureModel {
 }
 
 /// Which primary initiates a cross-shard transaction (§3.2, "super primary").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InitiationPolicy {
     /// Any involved cluster that received the client request initiates the
     /// transaction. Concurrent conflicting initiations are resolved by
@@ -405,7 +399,7 @@ pub enum InitiationPolicy {
 }
 
 /// Configuration of a single cluster: its members and its fault budget.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// The cluster identifier (doubles as the shard identifier).
     pub id: ClusterId,
@@ -458,7 +452,7 @@ impl ClusterConfig {
 /// nodes of each group can be clustered independently, yielding more (and
 /// therefore more parallel) clusters than clustering the union with the
 /// global worst-case `f`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterGroup {
     /// Human-readable name of the group (e.g. the cloud provider).
     pub name: String,
@@ -469,7 +463,7 @@ pub struct ClusterGroup {
 }
 
 /// A description of how the whole network is partitioned into clusters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterLayout {
     /// `clusters` clusters, each sized for the global fault budget `f`.
     Uniform {
@@ -512,7 +506,7 @@ impl ClusterLayout {
 }
 
 /// The full system configuration shared by every component of the system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
     /// The failure model of all replicas.
     pub failure_model: FailureModel,
@@ -748,11 +742,8 @@ mod tests {
     fn batch_config_defaults_to_paper_semantics() {
         let cfg = BatchConfig::default();
         assert_eq!(cfg.max_batch_size, 1);
-        assert!(!cfg.enabled());
         assert!(cfg.batch_timeout > Duration::ZERO);
-        let batched = BatchConfig::with_size(16);
-        assert!(batched.enabled());
-        assert_eq!(batched.max_batch_size, 16);
+        assert_eq!(BatchConfig::with_size(16).max_batch_size, 16);
         // A nonsensical size of 0 clamps to the unbatched protocol.
         assert_eq!(BatchConfig::with_size(0).max_batch_size, 1);
     }

@@ -23,10 +23,9 @@
 
 use crate::config::FailureModel;
 use crate::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// One-way network latencies (plus jitter bound) for the simulated network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// One-way latency between a client and any replica, in microseconds.
     pub client_to_node_us: u64,
@@ -88,7 +87,7 @@ impl LatencyModel {
 
 /// The kind of link a message travels over, from the latency model's point of
 /// view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// Client ↔ replica.
     ClientToNode,
@@ -101,7 +100,7 @@ pub enum LinkKind {
 }
 
 /// Per-message CPU costs charged at the receiving replica.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Base cost of receiving, parsing and dispatching any protocol message.
     pub message_handling_us: u64,

@@ -5,7 +5,6 @@
 //! also carry identifiers so that replicas can detect duplicates and clients
 //! can match replies to requests.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a replica (a node participating in consensus).
@@ -13,7 +12,7 @@ use std::fmt;
 /// Node identifiers are globally unique across the whole network, not just
 /// within a cluster; the [`crate::SystemConfig`] records which cluster each
 /// node belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -31,7 +30,7 @@ impl fmt::Display for NodeId {
 
 /// Identifier of a cluster. Because SharPer assigns exactly one data shard to
 /// each cluster (§2.2), the same identifier doubles as the shard identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub u32);
 
 impl ClusterId {
@@ -48,7 +47,7 @@ impl fmt::Display for ClusterId {
 }
 
 /// Identifier of a client of the accounting application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u64);
 
 impl fmt::Display for ClientId {
@@ -61,7 +60,7 @@ impl fmt::Display for ClientId {
 ///
 /// The partitioner in `sharper-state` maps accounts to shards; see
 /// [`crate::SystemConfig`] for the number of shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AccountId(pub u64);
 
 impl fmt::Display for AccountId {
@@ -74,7 +73,7 @@ impl fmt::Display for AccountId {
 ///
 /// Transaction identifiers are assigned by clients (client id + client-local
 /// sequence number) so that replicas can deduplicate retransmissions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId {
     /// The client that issued the transaction.
     pub client: ClientId,

@@ -28,7 +28,7 @@ pub use cost::{CostModel, LatencyModel, LinkKind};
 pub use error::{Error, Result};
 pub use ids::{AccountId, ClientId, ClusterId, NodeId, RequestId, TxId};
 pub use obs::{
-    percentile_nearest_rank, percentile_us, trace_to_jsonl, Histogram, MetricKey, MetricsRegistry,
-    StreamingHistogram, TraceEvent, TraceKind,
+    percentile_nearest_rank, percentile_us, trace_to_jsonl, StreamingHistogram, TraceEvent,
+    TraceKind,
 };
 pub use time::{Duration, SimTime};

@@ -1,5 +1,5 @@
 //! The deterministic observability plane: sim-time trace events and the
-//! metrics registry.
+//! workspace's percentile and histogram helpers.
 //!
 //! ## Trace events
 //!
@@ -28,17 +28,14 @@
 //! `Context::trace` is never invoked, so disabled runs pay one branch per
 //! call site and allocate nothing.
 //!
-//! ## Metrics
+//! ## Percentiles
 //!
-//! [`MetricsRegistry`] aggregates counters, gauges and histograms keyed by
-//! `(name, replica, shard, phase)`. It is a post-run analysis structure —
-//! deterministic because it is fed from the merged trace, not from live
-//! shared state. All percentiles in the workspace go through the single
-//! nearest-rank implementation here ([`percentile_nearest_rank`]).
+//! Exact percentiles over sorted samples go through the single nearest-rank
+//! implementation here ([`percentile_nearest_rank`]); bounded-memory
+//! distributions use [`StreamingHistogram`].
 
 use crate::ids::TxId;
 use crate::time::SimTime;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -417,9 +414,8 @@ pub fn trace_to_jsonl(events: &[TraceEvent]) -> String {
 /// the minimum, `pct = 100` the maximum. With ties the tied value is
 /// returned for every rank it occupies.
 ///
-/// This is the single percentile implementation of the workspace — the
-/// mempool wait metrics, the latency summaries and the metrics registry all
-/// defer to it.
+/// This is the single exact percentile implementation of the workspace —
+/// the mempool wait metrics and the trace phase breakdown defer to it.
 pub fn percentile_nearest_rank<T: Copy>(sorted: &[T], pct: u64) -> Option<T> {
     if sorted.is_empty() {
         return None;
@@ -435,91 +431,6 @@ pub fn percentile_us(sorted: &[u64], pct: u64) -> u64 {
     percentile_nearest_rank(sorted, pct).unwrap_or(0)
 }
 
-/// The identity of one metric: a name plus the optional replica / shard /
-/// phase the sample is attributed to.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct MetricKey {
-    /// Metric name (e.g. `"phase_latency_us"`).
-    pub name: String,
-    /// Recording replica's rank, if attributed.
-    pub replica: Option<u64>,
-    /// Shard (cluster) the sample belongs to, if attributed.
-    pub shard: Option<u64>,
-    /// Lifecycle phase label (e.g. `"consensus"`), if attributed.
-    pub phase: Option<String>,
-}
-
-impl MetricKey {
-    /// A key with only a name.
-    pub fn named(name: &str) -> Self {
-        Self {
-            name: name.to_string(),
-            ..Self::default()
-        }
-    }
-
-    /// Attributes the key to a replica rank (builder style).
-    pub fn replica(mut self, rank: u64) -> Self {
-        self.replica = Some(rank);
-        self
-    }
-
-    /// Attributes the key to a shard (builder style).
-    pub fn shard(mut self, shard: u64) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
-    /// Attributes the key to a phase (builder style).
-    pub fn phase(mut self, phase: &str) -> Self {
-        self.phase = Some(phase.to_string());
-        self
-    }
-}
-
-/// A sample distribution with nearest-rank percentiles.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Histogram {
-    samples: Vec<u64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.samples.push(value);
-        self.sorted = false;
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.samples.iter().sum()
-    }
-
-    /// Mean of the samples, 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.sum() as f64 / self.samples.len() as f64
-        }
-    }
-
-    /// Nearest-rank percentile of the samples, 0 when empty.
-    pub fn percentile(&mut self, pct: u64) -> u64 {
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-        percentile_us(&self.samples, pct)
-    }
-}
-
 /// Number of sub-buckets per power-of-two group in a [`StreamingHistogram`]
 /// (5 significant bits → ≤ ~1.6% relative quantile error).
 const STREAM_SUB_BUCKETS: u64 = 32;
@@ -529,9 +440,10 @@ const STREAM_BUCKETS: usize = (STREAM_SUB_BUCKETS as usize) * 60;
 
 /// A bounded-memory histogram with HDR-style log₂ bucketing.
 ///
-/// Unlike [`Histogram`] (which keeps every sample and answers exact
-/// percentiles), this structure stores a fixed array of counters — ~15 KB
-/// regardless of sample count — so unbounded-duration sweeps stay spill-free.
+/// Unlike a sorted sample buffer (which answers exact percentiles through
+/// [`percentile_nearest_rank`]), this structure stores a fixed array of
+/// counters — ~15 KB regardless of sample count — so unbounded-duration
+/// sweeps stay spill-free.
 /// Values below 32 are recorded exactly; larger values keep their top 5
 /// significant bits, bounding relative error on percentile reads to ~1.6%.
 /// `count`, `sum`, `min` and `max` stay exact.
@@ -683,72 +595,6 @@ impl StreamingHistogram {
             }
         }
         self.max
-    }
-}
-
-/// Counters, gauges and histograms keyed by `(name, replica, shard, phase)`.
-///
-/// Deterministic by construction: it is populated from the merged trace (or
-/// from per-actor state inspected after a run), iterates in key order, and
-/// owns no interior mutability.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, u64>,
-    histograms: BTreeMap<MetricKey, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` to the counter at `key`.
-    pub fn count(&mut self, key: MetricKey, delta: u64) {
-        *self.counters.entry(key).or_insert(0) += delta;
-    }
-
-    /// The counter at `key`, 0 if never counted.
-    pub fn counter(&self, key: &MetricKey) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
-    }
-
-    /// Raises the gauge at `key` to `value` if it exceeds the current value
-    /// (gauges here record deterministic maxima, e.g. peak queue depth).
-    pub fn gauge_max(&mut self, key: MetricKey, value: u64) {
-        let slot = self.gauges.entry(key).or_insert(0);
-        *slot = (*slot).max(value);
-    }
-
-    /// The gauge at `key`, 0 if never set.
-    pub fn gauge(&self, key: &MetricKey) -> u64 {
-        self.gauges.get(key).copied().unwrap_or(0)
-    }
-
-    /// Records a histogram sample at `key`.
-    pub fn observe(&mut self, key: MetricKey, value: u64) {
-        self.histograms.entry(key).or_default().record(value);
-    }
-
-    /// Mutable access to the histogram at `key` (creating it if absent).
-    pub fn histogram_mut(&mut self, key: MetricKey) -> &mut Histogram {
-        self.histograms.entry(key).or_default()
-    }
-
-    /// The histogram at `key`, if any samples were recorded.
-    pub fn histogram(&self, key: &MetricKey) -> Option<&Histogram> {
-        self.histograms.get(key)
-    }
-
-    /// Iterates over every histogram in key order.
-    pub fn histograms(&mut self) -> impl Iterator<Item = (&MetricKey, &mut Histogram)> {
-        self.histograms.iter_mut()
-    }
-
-    /// Iterates over every counter in key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&MetricKey, u64)> {
-        self.counters.iter().map(|(k, v)| (k, *v))
     }
 }
 
@@ -932,30 +778,5 @@ mod tests {
             std::mem::size_of_val(&h),
             std::mem::size_of::<u64>() * 4 + std::mem::size_of::<usize>()
         );
-    }
-
-    #[test]
-    fn registry_counts_gauges_and_observes() {
-        let mut reg = MetricsRegistry::new();
-        let k = MetricKey::named("commits").shard(1);
-        reg.count(k.clone(), 2);
-        reg.count(k.clone(), 3);
-        assert_eq!(reg.counter(&k), 5);
-        assert_eq!(reg.counter(&MetricKey::named("missing")), 0);
-
-        let g = MetricKey::named("queue_depth").replica(4);
-        reg.gauge_max(g.clone(), 10);
-        reg.gauge_max(g.clone(), 7);
-        assert_eq!(reg.gauge(&g), 10);
-
-        let h = MetricKey::named("latency_us").phase("consensus");
-        for v in [30, 10, 20] {
-            reg.observe(h.clone(), v);
-        }
-        let hist = reg.histogram_mut(h.clone());
-        assert_eq!(hist.count(), 3);
-        assert_eq!(hist.percentile(50), 20);
-        assert_eq!(hist.percentile(100), 30);
-        assert!((hist.mean() - 20.0).abs() < 1e-9);
     }
 }

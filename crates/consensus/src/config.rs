@@ -5,7 +5,6 @@ use sharper_common::{
 };
 use sharper_crypto::KeyRegistry;
 use sharper_state::Partitioner;
-use std::sync::Arc;
 
 /// Protocol timer settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,8 +58,8 @@ impl Default for TimerConfig {
 
 /// Everything a replica needs to know about the deployment it is part of.
 ///
-/// Wrapped in an [`Arc`] by the system layer so that the hundreds of replicas
-/// of a simulation share one copy.
+/// Wrapped in an [`Arc`](std::sync::Arc) by the system layer so that the
+/// hundreds of replicas of a simulation share one copy.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
     /// Cluster membership, failure model, quorum sizes, initiation policy.
@@ -90,102 +89,22 @@ pub struct ReplicaConfig {
 }
 
 impl ReplicaConfig {
-    /// Convenience constructor wrapping the config in an [`Arc`]; batching
-    /// stays at the paper-faithful default of one transaction per block.
-    pub fn shared(
-        system: SystemConfig,
-        partitioner: Partitioner,
-        cost: CostModel,
-        timers: TimerConfig,
-        registry: KeyRegistry,
-    ) -> Arc<Self> {
-        Self::shared_batched(
+    /// A configuration with every policy at its default: the default cost
+    /// model and timers, one transaction per block, the serial executor, a
+    /// retain-all ledger and resharding disabled. Callers override the
+    /// public fields they need and share the result.
+    pub fn new(system: SystemConfig, partitioner: Partitioner, registry: KeyRegistry) -> Self {
+        Self {
             system,
             partitioner,
-            cost,
-            timers,
-            BatchConfig::default(),
-            registry,
-        )
-    }
-
-    /// Like [`ReplicaConfig::shared`] with an explicit batching policy; the
-    /// executor stays at the serial default.
-    pub fn shared_batched(
-        system: SystemConfig,
-        partitioner: Partitioner,
-        cost: CostModel,
-        timers: TimerConfig,
-        batch: BatchConfig,
-        registry: KeyRegistry,
-    ) -> Arc<Self> {
-        Self::shared_full(
-            system,
-            partitioner,
-            cost,
-            timers,
-            batch,
-            ExecutorConfig::default(),
-            registry,
-        )
-    }
-
-    /// Like [`ReplicaConfig::shared_full`] with the ledger retention left at
-    /// the retain-all default.
-    pub fn shared_full(
-        system: SystemConfig,
-        partitioner: Partitioner,
-        cost: CostModel,
-        timers: TimerConfig,
-        batch: BatchConfig,
-        exec: ExecutorConfig,
-        registry: KeyRegistry,
-    ) -> Arc<Self> {
-        Self::shared_configured(
-            system,
-            partitioner,
-            cost,
-            timers,
-            batch,
-            exec,
-            LedgerConfig::default(),
-            registry,
-        )
-    }
-
-    /// The fully explicit constructor: batching policy, executor
-    /// (state-partitioning) and ledger retention configuration. Resharding
-    /// stays disabled; enable it with [`ReplicaConfig::with_reshard`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn shared_configured(
-        system: SystemConfig,
-        partitioner: Partitioner,
-        cost: CostModel,
-        timers: TimerConfig,
-        batch: BatchConfig,
-        exec: ExecutorConfig,
-        ledger: LedgerConfig,
-        registry: KeyRegistry,
-    ) -> Arc<Self> {
-        Arc::new(Self {
-            system,
-            partitioner,
-            cost,
-            timers,
-            batch,
-            exec,
-            ledger,
+            cost: CostModel::default(),
+            timers: TimerConfig::default(),
+            batch: BatchConfig::default(),
+            exec: ExecutorConfig::default(),
+            ledger: LedgerConfig::default(),
             reshard: ReshardConfig::default(),
             registry,
-        })
-    }
-
-    /// Returns a copy of this config with the given reshard policy installed
-    /// (the system layer applies it before sharing the config).
-    pub fn with_reshard(self: &Arc<Self>, reshard: ReshardConfig) -> Arc<Self> {
-        let mut cfg = Self::clone(self);
-        cfg.reshard = reshard;
-        Arc::new(cfg)
+        }
     }
 }
 
@@ -194,6 +113,7 @@ mod tests {
     use super::*;
     use sharper_common::FailureModel;
     use sharper_crypto::keys::SignerId;
+    use std::sync::Arc;
 
     #[test]
     fn default_timers_are_ordered_sensibly() {
@@ -220,13 +140,11 @@ mod tests {
     fn shared_config_is_cheap_to_clone() {
         let system = SystemConfig::uniform(FailureModel::Crash, 2, 1).unwrap();
         let (registry, _) = KeyRegistry::generate(1, (0..6).map(SignerId));
-        let cfg = ReplicaConfig::shared(
+        let cfg = Arc::new(ReplicaConfig::new(
             system,
             Partitioner::range(2, 100),
-            CostModel::default(),
-            TimerConfig::default(),
             registry,
-        );
+        ));
         let clone = Arc::clone(&cfg);
         assert_eq!(Arc::strong_count(&cfg), 2);
         assert_eq!(clone.system.cluster_count(), 2);

@@ -6,7 +6,6 @@
 //! batching the Merkle root of the proposed [`Batch`] — and `h_i` (here
 //! `parent`) is the hash of the previous block ordered by cluster `p_i`.
 
-use serde::{Deserialize, Serialize};
 use sharper_common::{ClusterId, NodeId, TxId};
 use sharper_crypto::{Digest, QuorumCert, Signature};
 use sharper_ledger::Batch;
@@ -49,7 +48,7 @@ pub mod timer_tags {
 /// proposes under a ballot strictly above every earlier view's — the
 /// ordering that lets acceptors reject stale proposals after promising a
 /// newer one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ballot {
     /// The view this ballot belongs to.
     pub view: u64,
@@ -68,7 +67,7 @@ impl Ballot {
 /// Byzantine cluster prepared `batch` at chain position `parent` in `view`.
 /// Carried by view-change votes and the new-view message; backups verify
 /// every member signature before accepting the replayed round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreparedCert {
     /// The view the round prepared in.
     pub view: u64,
@@ -89,7 +88,7 @@ pub struct PreparedCert {
 /// the simulator's broadcast fan-out zero-copy: one allocation is shared by
 /// every recipient of a multicast and by every round that retains the
 /// payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     // ------------------------------------------------------------------
     // Client interface
@@ -487,7 +486,7 @@ impl Msg {
 /// view-change vote: enough for the new primary to adopt the highest-ballot
 /// value per chain position and re-propose it there (the block digest is a
 /// pure function of `parent` and the batch).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceptedRound {
     /// The ballot the round was accepted under.
     pub ballot: Ballot,

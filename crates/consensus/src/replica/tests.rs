@@ -7,7 +7,7 @@
 //! is covered by the integration tests in the workspace root.
 
 use super::*;
-use crate::config::{ReplicaConfig, TimerConfig};
+use crate::config::ReplicaConfig;
 use crate::messages::{proposal_sign_bytes, vote_sign_bytes, Ballot, Msg, PreparedCert};
 use sharper_common::{
     AccountId, ClientId, ClusterId, CostModel, FailureModel, InitiationPolicy, NodeId, SimTime,
@@ -38,14 +38,12 @@ fn test_config_batched(
     let node_signers = system.node_ids().map(node_signer_id).collect::<Vec<_>>();
     let client_signers = (0..32).map(|c| client_signer_id(ClientId(c)));
     let (registry, _) = KeyRegistry::generate(7, node_signers.into_iter().chain(client_signers));
-    ReplicaConfig::shared_batched(
-        system,
-        Partitioner::range(clusters as u32, ACCOUNTS_PER_SHARD),
-        CostModel::zero(),
-        TimerConfig::default(),
-        sharper_common::BatchConfig::with_size(max_batch),
-        registry,
-    )
+    let partitioner = Partitioner::range(clusters as u32, ACCOUNTS_PER_SHARD);
+    Arc::new(ReplicaConfig {
+        cost: CostModel::zero(),
+        batch: sharper_common::BatchConfig::with_size(max_batch),
+        ..ReplicaConfig::new(system, partitioner, registry)
+    })
 }
 
 fn client_sig(cfg: &ReplicaConfig, tx: &Transaction) -> Signature {

@@ -362,9 +362,8 @@ impl Actor<Msg> for ClientActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharper_common::{AccountId, CostModel, FailureModel, SimTime, SystemConfig};
+    use sharper_common::{AccountId, FailureModel, SimTime, SystemConfig};
     use sharper_consensus::replica::node_signer_id;
-    use sharper_consensus::TimerConfig;
     use sharper_crypto::KeyRegistry;
     use sharper_state::Partitioner;
 
@@ -375,13 +374,11 @@ mod tests {
             .map(node_signer_id)
             .chain((0..8).map(|c| client_signer_id(ClientId(c))));
         let (registry, _) = KeyRegistry::generate(3, signers);
-        ReplicaConfig::shared(
+        Arc::new(ReplicaConfig::new(
             system,
             Partitioner::range(2, 100),
-            CostModel::default(),
-            TimerConfig::default(),
             registry,
-        )
+        ))
     }
 
     fn txs(n: u64) -> impl Iterator<Item = Transaction> + Send {

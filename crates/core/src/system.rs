@@ -164,17 +164,16 @@ impl SystemParams {
             .chain((0..num_clients as u64).map(|c| client_signer_id(ClientId(c))))
             .collect::<Vec<_>>();
         let (registry, _) = KeyRegistry::generate(self.seed, signers);
-        ReplicaConfig::shared_configured(
-            system,
-            Partitioner::range(self.clusters as u32, self.accounts_per_shard),
-            self.cost,
-            self.timers,
-            self.batch,
-            self.sim.exec,
-            self.sim.ledger,
-            registry,
-        )
-        .with_reshard(self.reshard.clone())
+        let partitioner = Partitioner::range(self.clusters as u32, self.accounts_per_shard);
+        Arc::new(ReplicaConfig {
+            cost: self.cost,
+            timers: self.timers,
+            batch: self.batch,
+            exec: self.sim.exec,
+            ledger: self.sim.ledger,
+            reshard: self.reshard.clone(),
+            ..ReplicaConfig::new(system, partitioner, registry)
+        })
     }
 }
 

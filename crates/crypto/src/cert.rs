@@ -8,12 +8,11 @@
 //! cannot smuggle a never-prepared value into the new view.
 
 use crate::keys::{KeyRegistry, Signature};
-use serde::{Deserialize, Serialize};
 
 /// An aggregate of signatures by distinct signers over (per-signer) known
 /// bytes. The container deduplicates by signer id and keeps the signatures
 /// sorted, so its serialized form is canonical.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuorumCert {
     sigs: Vec<Signature>,
 }

@@ -1,11 +1,10 @@
 //! The 32-byte digest type used for block parents and message digests.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A SHA-256 digest. The paper writes `D(m)` for the digest of a message `m`
 /// and `H(t)` for the hash of a block `t`; both are values of this type.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {

@@ -17,18 +17,17 @@
 
 use crate::digest::Digest;
 use crate::sha256::Sha256;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// Identifier of a signer. Replica ids and client ids are mapped into this
 /// space by the system layer (replicas keep their id, clients are offset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SignerId(pub u64);
 
 /// A signer's secret key.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct SecretKey([u8; 32]);
 
 impl SecretKey {
@@ -54,7 +53,7 @@ impl fmt::Debug for SecretKey {
 }
 
 /// A signature (really a MAC tag) over a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Signature {
     /// Who claims to have produced the signature.
     pub signer: u64,

@@ -27,7 +27,6 @@
 //! of a `Batch`, never serialised and never sent: a message carries the plain
 //! `Batch`, so one replica's check cannot stand in for another's.
 
-use serde::{Deserialize, Serialize};
 use sharper_common::{ClusterId, TxId};
 use sharper_crypto::{merkle, Digest};
 use sharper_state::{Partitioner, Transaction};
@@ -50,7 +49,7 @@ pub fn root_derivations() -> u64 {
 }
 
 /// An ordered batch of transactions, committed to by a Merkle root.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch {
     /// The transactions, in proposal (and execution) order.
     txs: Arc<Vec<Arc<Transaction>>>,
@@ -179,7 +178,7 @@ impl Batch {
 ///
 /// The field is private and there are exactly two ways in, [`seal`] and
 /// [`check`], each of which runs [`Batch::compute_root`]; there is
-/// deliberately no `From<Batch>`, `Default` or serde impl. It derefs to the
+/// deliberately no `From<Batch>` or `Default` impl. It derefs to the
 /// batch for reading and offers nothing mutable, so the witness stays true
 /// for as long as it exists. Cloning shares the transactions like a `Batch`
 /// clone does.

@@ -8,7 +8,6 @@
 //! cryptographic hash of the previous transaction of every involved cluster".
 
 use crate::batch::{Batch, VerifiedBatch};
-use serde::{Deserialize, Serialize};
 use sharper_common::{ClusterId, TxId};
 use sharper_crypto::{Digest, Sha256};
 use sharper_state::Transaction;
@@ -18,7 +17,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 /// The payload of a block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockBody {
     /// The unique initialisation block λ (§2.3). Every cluster's view starts
     /// with the same genesis block.
@@ -40,7 +39,7 @@ pub enum BlockBody {
 /// batch contents are tamper-evident. A `Block` is plain data — its fields
 /// are public and anyone can build one; [`VerifiedBlock`] is the form that
 /// records that the holder made that check.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// Parent digests, one per involved cluster, keyed by cluster id.
     /// Shared (`Arc`): a cross-shard commit fan-out, the commit message and
@@ -193,8 +192,8 @@ impl Block {
 /// The field is private and there are exactly two ways in: [`chain`] a batch
 /// the holder already verified at given parents (one block digest, no root
 /// derivation), or [`check`] a block of unknown provenance (everything
-/// [`Block::verify_integrity`] re-derives). No `From<Block>`, `Default` or
-/// serde impl exists, it derefs to the block for reading and offers nothing
+/// [`Block::verify_integrity`] re-derives). No `From<Block>` or `Default`
+/// impl exists, it derefs to the block for reading and offers nothing
 /// mutable — `Block`'s public fields cannot be reached for writing through
 /// it.
 ///

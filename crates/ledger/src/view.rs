@@ -24,7 +24,6 @@
 //! before and after pruning.
 
 use crate::block::{Block, VerifiedBlock};
-use serde::{Deserialize, Serialize};
 use sharper_common::{ClusterId, Error, LedgerConfig, Result, TxId};
 use sharper_crypto::{hash_parts, Digest};
 use std::collections::hash_map::Entry;
@@ -40,7 +39,7 @@ const CHECKPOINT_DOMAIN: &[u8] = b"sharper-checkpoint";
 /// [`Digest::ZERO`]. Two views that folded the same prefix therefore carry
 /// the same checkpoint, and no block below the watermark can be swapped or
 /// reordered without changing it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Number of blocks folded into this checkpoint (the genesis block
     /// counts once it has been pruned). Equals the absolute height of the
@@ -80,7 +79,7 @@ impl Checkpoint {
 }
 
 /// The totally-ordered ledger view maintained by every replica of a cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LedgerView {
     cluster: ClusterId,
     /// Resident blocks in commit order. The absolute height of `blocks[i]`

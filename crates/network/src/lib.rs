@@ -1,7 +1,7 @@
 //! # sharper-net
 //!
 //! The deterministic discrete-event network simulator that replaces the
-//! paper's AWS testbed (see DESIGN.md, "Substitutions").
+//! paper's AWS testbed.
 //!
 //! The simulator executes a set of [`Actor`]s — replicas and clients — that
 //! communicate only through messages and timers. It models:
@@ -19,10 +19,6 @@
 //! Everything is driven by a seeded PRNG, so a simulation run is a pure
 //! function of its inputs — the property the protocol tests and the figure
 //! harness rely on.
-//!
-//! A small thread-based [`transport`] built on crossbeam channels is also
-//! provided for the examples that want to run replicas on real OS threads
-//! rather than inside the simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +28,6 @@ pub mod faults;
 pub mod sim;
 pub mod stats;
 pub mod topology;
-pub mod transport;
 pub mod wheel;
 
 pub use actor::{Actor, ActorId, Context, TimerId};

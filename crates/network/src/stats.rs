@@ -18,10 +18,9 @@
 //!
 //! [`begin_measurement`]: StatsHandle::begin_measurement
 
-use parking_lot::Mutex;
 use sharper_common::{Duration, SimTime, StreamingHistogram, TxId};
 use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// How many of the most recent commit samples are kept for debugging.
 const RECENT_SAMPLES: usize = 512;
@@ -220,8 +219,8 @@ impl StatsCollector {
 
 /// A cheaply clonable, shareable handle to a [`StatsCollector`].
 ///
-/// The simulator is single-threaded, but the handle uses a mutex so the same
-/// types also work under the thread-based transport and inside Criterion.
+/// Clients on different simulator lanes record into one collector, so the
+/// handle guards it with a mutex.
 #[derive(Debug, Clone, Default)]
 pub struct StatsHandle(Arc<Mutex<StatsCollector>>);
 
@@ -237,41 +236,47 @@ impl StatsHandle {
         Self(Arc::new(Mutex::new(StatsCollector::with_warmup(warmup))))
     }
 
+    /// Locks the collector. Poisoning is ignored: the collector holds plain
+    /// counters with no invariant a panicked holder could break.
+    fn lock(&self) -> MutexGuard<'_, StatsCollector> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Fixes the end (exclusive) of the steady-state window — call before
     /// the simulation runs (see [`StatsCollector::begin_measurement`]).
     pub fn begin_measurement(&self, end: SimTime) {
-        self.0.lock().begin_measurement(end);
+        self.lock().begin_measurement(end);
     }
 
     /// Records a submission.
     pub fn record_submission(&self) {
-        self.0.lock().record_submission();
+        self.lock().record_submission();
     }
 
     /// Records a commit sample.
     pub fn record_commit(&self, sample: CommitSample) {
-        self.0.lock().record_commit(sample);
+        self.lock().record_commit(sample);
     }
 
     /// Number of submitted transactions.
     pub fn submitted(&self) -> usize {
-        self.0.lock().submitted()
+        self.lock().submitted()
     }
 
     /// Number of distinct committed transactions.
     pub fn committed(&self) -> usize {
-        self.0.lock().committed()
+        self.lock().committed()
     }
 
     /// Summarises the steady-state window (see [`StatsCollector::summarize`]).
     pub fn summarize(&self, warmup: SimTime, window: Duration) -> LatencySummary {
-        self.0.lock().summarize(warmup, window)
+        self.lock().summarize(warmup, window)
     }
 
     /// Clones the most recent commit samples out of the collector (bounded
     /// ring, debugging only).
     pub fn recent_samples(&self) -> Vec<CommitSample> {
-        self.0.lock().recent_samples().iter().copied().collect()
+        self.lock().recent_samples().iter().copied().collect()
     }
 }
 

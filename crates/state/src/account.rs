@@ -5,12 +5,11 @@
 //! recorded as a [`ClientId`]; ownership checks during validation stand in
 //! for the paper's signature check against the account's public key.
 
-use serde::{Deserialize, Serialize};
 use sharper_common::{AccountId, ClientId, ClusterId, Error, Result};
 use std::collections::HashMap;
 
 /// A single account record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Account {
     /// Current balance in application units.
     pub balance: u64,
@@ -20,7 +19,7 @@ pub struct Account {
 
 /// The account records of one shard, replicated on every node of the owning
 /// cluster (§2.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccountStore {
     shard: ClusterId,
     accounts: HashMap<AccountId, Account>,

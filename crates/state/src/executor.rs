@@ -13,11 +13,10 @@ use crate::rwset::{OpLocality, RwSet};
 use crate::scheduler::{self, PartitionedApply};
 use crate::store::{PartitionMap, PartitionedStore, StateRead, StateWrite};
 use crate::transaction::{Operation, Transaction};
-use serde::{Deserialize, Serialize};
 use sharper_common::{ClusterId, Error, Result};
 
 /// The result of executing a transaction on a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionOutcome {
     /// Every local operation validated and was applied.
     Applied,

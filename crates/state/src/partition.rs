@@ -11,12 +11,11 @@
 //! * explicit per-account overrides, which is how a workload-aware placement
 //!   (e.g. produced by a tool like Schism \[20\]) is expressed.
 
-use serde::{Deserialize, Serialize};
 use sharper_common::{AccountId, ClusterId};
 use std::collections::HashMap;
 
 /// Strategy for the default (non-overridden) mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Strategy {
     /// Account `a` lives in shard `(a / accounts_per_shard) % shards`.
     Range { accounts_per_shard: u64 },
@@ -32,7 +31,7 @@ enum Strategy {
 /// start+len)` to `to`, and a merge removes it (moving the range back to the
 /// genesis owner deletes the overlay outright, so a split followed by the
 /// inverse merge restores the exact original map).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RangeMove {
     /// First account of the moved range.
     pub start: u64,
@@ -43,7 +42,7 @@ pub struct RangeMove {
 }
 
 /// Maps accounts to the cluster (shard) that owns them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partitioner {
     shards: u32,
     strategy: Strategy,

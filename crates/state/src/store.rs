@@ -13,7 +13,6 @@
 //! bit-identical to serial apply by construction.
 
 use crate::account::{Account, AccountStore};
-use serde::{Deserialize, Serialize};
 use sharper_common::{AccountId, ClientId, ClusterId, Result};
 
 /// Read access to account state.
@@ -107,7 +106,7 @@ impl StateWrite for AccountStore {
 ///
 /// Small and `Copy` so the scheduler can route operations without borrowing
 /// the store itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionMap {
     chunk: u64,
     partitions: usize,
@@ -142,7 +141,7 @@ impl PartitionMap {
 /// function of its id ([`PartitionMap`]), so routing never depends on store
 /// contents and two replicas with the same configuration always agree on the
 /// layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionedStore {
     shard: ClusterId,
     map: PartitionMap,

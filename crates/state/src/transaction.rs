@@ -7,7 +7,6 @@
 //! derived from the accounts through the [`crate::Partitioner`].
 
 use crate::partition::Partitioner;
-use serde::{Deserialize, Serialize};
 use sharper_common::{AccountId, ClientId, ClusterId, TxId};
 use sharper_crypto::{hash, Digest};
 use std::collections::BTreeSet;
@@ -16,7 +15,7 @@ use std::fmt;
 /// One account's state carried by a [`Operation::Handover`]: its offset
 /// inside the moved range plus the balance and owner to install on the
 /// destination shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HandoverEntry {
     /// Account offset within the moved range (`account = start + offset`).
     pub offset: u64,
@@ -27,7 +26,7 @@ pub struct HandoverEntry {
 }
 
 /// A single operation inside a transaction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Operation {
     /// Move `amount` units from `from` to `to`. Valid only if the requesting
     /// client owns `from` and `from` has at least `amount` units.
@@ -144,7 +143,7 @@ impl Operation {
 
 /// A client transaction: the unit of consensus and the content of exactly one
 /// block (§2.3: "each block consists of a single transaction").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Transaction {
     /// Globally unique identifier (client id + client-local sequence).
     pub id: TxId,

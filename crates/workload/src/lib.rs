@@ -17,12 +17,11 @@
 use rand::distributions::Distribution;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use sharper_common::{AccountId, ClientId, ClusterId, TxId};
 use sharper_state::{Operation, Partitioner, Transaction};
 
 /// How accounts are picked inside a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessDistribution {
     /// Every account is equally likely.
     Uniform,
@@ -47,7 +46,7 @@ pub enum AccessDistribution {
 /// construction, so a resharder that migrates hot ranges moves read traffic
 /// between clusters without ever converting the transfer traffic pinned to
 /// client-owned accounts into cross-shard transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotspotConfig {
     /// Fraction of transactions that target the hot window, in `[0, 1]`.
     pub hot_ratio: f64,
@@ -79,7 +78,7 @@ impl HotspotConfig {
 }
 
 /// Parameters of the evaluation workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of shards (clusters) in the deployment.
     pub shards: u32,
@@ -350,7 +349,7 @@ impl Iterator for WorkloadGenerator {
 
 /// Summary statistics over a generated batch, used to validate workloads in
 /// tests and experiment manifests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadStats {
     /// Number of transactions inspected.
     pub transactions: usize,
