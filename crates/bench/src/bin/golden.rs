@@ -24,7 +24,8 @@
 //! charges the serial cost, and the rolling checkpoint digest keeps a
 //! truncating ledger's digest equal to the retain-all one. The binary exits
 //! 1 naming the first (config, mode) that differs. `--out` receives the six
-//! reference lines, static deployments first.
+//! reference lines, static deployments first; CI diffs them against the
+//! pinned `bench/baselines/golden.txt`.
 
 use sharper_bench::{cli_flag_value, golden_divergence, GoldenRun};
 use sharper_common::{
@@ -150,11 +151,10 @@ fn reshard_configs() -> Vec<ReshardGoldenConfig> {
             drop_probability: 0.0,
             seed: 11,
             reshard: ReshardConfig {
-                enabled: true,
                 buckets_per_shard: 100,
                 report_interval: Duration::from_millis(100),
                 check_interval: Duration::from_millis(200),
-                ..ReshardConfig::enabled()
+                ..ReshardConfig::default()
             },
             hotspot: Some(HotspotConfig {
                 hot_ratio: 0.8,

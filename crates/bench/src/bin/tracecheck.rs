@@ -39,7 +39,7 @@ struct Scenario {
     f: usize,
     faults: FaultPlan,
     /// Dynamic-resharding plane; disabled for every scenario but "reshard".
-    reshard: ReshardConfig,
+    reshard: Option<ReshardConfig>,
     /// Zipfian hotspot driving load-based splits; None = uniform workload.
     hotspot: Option<HotspotConfig>,
 }
@@ -51,7 +51,7 @@ fn scenarios() -> Vec<Scenario> {
             model: FailureModel::Crash,
             f: 1,
             faults: FaultPlan::none(),
-            reshard: ReshardConfig::default(),
+            reshard: None,
             hotspot: None,
         },
         Scenario {
@@ -59,7 +59,7 @@ fn scenarios() -> Vec<Scenario> {
             model: FailureModel::Crash,
             f: 1,
             faults: FaultPlan::none().with_drop_probability(0.02),
-            reshard: ReshardConfig::default(),
+            reshard: None,
             hotspot: None,
         },
         Scenario {
@@ -67,7 +67,7 @@ fn scenarios() -> Vec<Scenario> {
             model: FailureModel::Crash,
             f: 1,
             faults: FaultPlan::none().with_crash(NodeId(1), SimTime::from_millis(300)),
-            reshard: ReshardConfig::default(),
+            reshard: None,
             hotspot: None,
         },
         Scenario {
@@ -77,7 +77,7 @@ fn scenarios() -> Vec<Scenario> {
             faults: FaultPlan::none()
                 .with_drop_probability(0.02)
                 .with_crash(NodeId(1), SimTime::from_millis(300)),
-            reshard: ReshardConfig::default(),
+            reshard: None,
             hotspot: None,
         },
         // Cascading primary crashes: cluster 0's view-0 primary goes down,
@@ -93,7 +93,7 @@ fn scenarios() -> Vec<Scenario> {
                 SimTime::from_millis(300),
                 Duration::from_millis(1_200),
             ),
-            reshard: ReshardConfig::default(),
+            reshard: None,
             hotspot: None,
         },
         Scenario {
@@ -101,7 +101,7 @@ fn scenarios() -> Vec<Scenario> {
             model: FailureModel::Byzantine,
             f: 1,
             faults: FaultPlan::none(),
-            reshard: ReshardConfig::default(),
+            reshard: None,
             hotspot: None,
         },
         // Online resharding under a drifting hotspot: load reports trigger
@@ -113,12 +113,12 @@ fn scenarios() -> Vec<Scenario> {
             model: FailureModel::Crash,
             f: 1,
             faults: FaultPlan::none(),
-            reshard: ReshardConfig {
+            reshard: Some(ReshardConfig {
                 buckets_per_shard: 100,
                 report_interval: Duration::from_millis(100),
                 check_interval: Duration::from_millis(200),
-                ..ReshardConfig::enabled()
-            },
+                ..ReshardConfig::default()
+            }),
             hotspot: Some(HotspotConfig {
                 hot_ratio: 0.8,
                 s: 1.2,
@@ -133,8 +133,8 @@ fn run_scenario(s: &Scenario, seed: u64, secs: u64) -> (Vec<TraceEvent>, PhaseBr
     let mut params = SystemParams::new(s.model, CLUSTERS, s.f)
         .with_faults(s.faults.clone())
         .with_seed(seed)
-        .with_reshard(s.reshard.clone())
         .with_tracing(true);
+    params.reshard = s.reshard.clone();
     params.accounts_per_shard = ACCOUNTS;
     params.warmup = SimTime::from_millis(200);
     let hotspot = s.hotspot;

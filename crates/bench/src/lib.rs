@@ -181,31 +181,41 @@ fn traced_curve_point(system: &mut SharperSystem, clients: usize, duration: SimT
     }
 }
 
-/// Runs SharPer at one operating point under an explicit simulator thread
-/// mode. The mode never changes the measured results — parallel runs are
+/// The evaluation deployment every SharPer figure runs: `clusters` clusters
+/// with f = 1, [`ACCOUNTS_PER_SHARD`] accounts per shard, a 300 ms warm-up
+/// and super-primary initiation. Callers override what their figure varies.
+/// The thread mode never changes the measured results — parallel runs are
 /// bit-identical to sequential ones — only the harness's wall-clock time.
-pub fn sharper_point_threads(
-    model: FailureModel,
-    clusters: usize,
-    cross_ratio: f64,
-    clients: usize,
-    threads: ThreadMode,
-    duration: SimTime,
-) -> CurvePoint {
-    sharper_point_initiated(
-        model,
-        clusters,
-        cross_ratio,
-        clients,
-        InitiationPolicy::SuperPrimary,
-        threads,
-        duration,
-    )
+fn evaluation_params(model: FailureModel, clusters: usize, threads: ThreadMode) -> SystemParams {
+    let mut params = SystemParams::new(model, clusters, 1)
+        .with_threads(threads)
+        .with_initiation_policy(InitiationPolicy::SuperPrimary);
+    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
+    params.warmup = SimTime::from_millis(300);
+    params
 }
 
-/// Like [`sharper_point_threads`] under an explicit cross-shard initiation
-/// policy (ablation A1 compares the two).
-fn sharper_point_initiated(
+/// The evaluation workload (§4) over `clusters` shards of
+/// [`ACCOUNTS_PER_SHARD`] accounts.
+fn evaluation_workload(clusters: usize, cross_ratio: f64) -> WorkloadConfig {
+    let mut cfg = WorkloadConfig::evaluation(clusters as u32, cross_ratio);
+    cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
+    cfg
+}
+
+/// Builds the evaluation deployment with `clients` clients, each running
+/// the evaluation workload at `cross_ratio`.
+fn evaluation_system(params: SystemParams, clients: usize, cross_ratio: f64) -> SharperSystem {
+    let cfg = evaluation_workload(params.clusters, cross_ratio);
+    SharperSystem::build(params, clients, |client| {
+        WorkloadGenerator::new(client, cfg)
+    })
+}
+
+/// Runs SharPer at one operating point of the evaluation deployment under
+/// an explicit cross-shard initiation policy (ablation A1 compares the two;
+/// every other figure uses the super primary).
+pub fn sharper_point_initiated(
     model: FailureModel,
     clusters: usize,
     cross_ratio: f64,
@@ -214,24 +224,16 @@ fn sharper_point_initiated(
     threads: ThreadMode,
     duration: SimTime,
 ) -> CurvePoint {
-    let mut params = SystemParams::new(model, clusters, 1)
-        .with_threads(threads)
+    let params = evaluation_params(model, clusters, threads)
+        .with_initiation_policy(initiation)
         .with_tracing(true);
-    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    params.warmup = SimTime::from_millis(300);
-    params.initiation_policy = initiation;
-    let mut system = SharperSystem::build(params, clients, |client| {
-        let mut cfg = WorkloadConfig::evaluation(clusters as u32, cross_ratio);
-        cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-        WorkloadGenerator::new(client, cfg)
-    });
+    let mut system = evaluation_system(params, clients, cross_ratio);
     traced_curve_point(&mut system, clients, duration)
 }
 
 /// Runs SharPer at one operating point with an explicit batching policy.
-/// Clients pipeline `max_batch_size` requests so batches actually fill. The
-/// thread mode never changes the measured results.
-#[allow(clippy::too_many_arguments)]
+/// Every client pipelines 16 requests, whatever the batch size. The thread
+/// mode never changes the measured results.
 pub fn sharper_point_batched_threads(
     model: FailureModel,
     clusters: usize,
@@ -241,21 +243,13 @@ pub fn sharper_point_batched_threads(
     threads: ThreadMode,
     duration: SimTime,
 ) -> CurvePoint {
-    let mut params = SystemParams::new(model, clusters, 1)
+    let mut params = evaluation_params(model, clusters, threads)
         .with_batching(BatchConfig::with_size(max_batch_size))
-        .with_threads(threads)
         .with_tracing(true);
-    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    params.warmup = SimTime::from_millis(300);
-    params.initiation_policy = InitiationPolicy::SuperPrimary;
     // A fixed pipeline depth for every batch size, so the offered load is
     // identical across the sweep and only the batching policy varies.
     params.client.max_in_flight = 16;
-    let mut system = SharperSystem::build(params, clients, |client| {
-        let mut cfg = WorkloadConfig::evaluation(clusters as u32, cross_ratio);
-        cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-        WorkloadGenerator::new(client, cfg)
-    });
+    let mut system = evaluation_system(params, clients, cross_ratio);
     traced_curve_point(&mut system, clients, duration)
 }
 
@@ -374,10 +368,8 @@ pub fn baseline_point(
     let mut params = BaselineParams::paper(kind);
     params.accounts_per_shard = ACCOUNTS_PER_SHARD;
     params.warmup = SimTime::from_millis(300);
-    let clusters = params.clusters as u32;
+    let cfg = evaluation_workload(params.clusters, cross_ratio);
     let mut system = BaselineSystem::build(params, clients, |client| {
-        let mut cfg = WorkloadConfig::evaluation(clusters, cross_ratio);
-        cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
         WorkloadGenerator::new(client, cfg)
     });
     let report = system.run(duration);
@@ -429,9 +421,15 @@ pub fn figure_cross_shard_sweep(
             let points = client_counts
                 .iter()
                 .map(|&clients| match kind {
-                    None => {
-                        sharper_point_threads(model, 4, cross_ratio, clients, threads, duration)
-                    }
+                    None => sharper_point_initiated(
+                        model,
+                        4,
+                        cross_ratio,
+                        clients,
+                        InitiationPolicy::SuperPrimary,
+                        threads,
+                        duration,
+                    ),
                     Some(k) => baseline_point(k, cross_ratio, clients, duration),
                 })
                 .collect();
@@ -456,7 +454,15 @@ pub fn figure_scalability(
         .iter()
         .map(|&clusters| {
             let clients = clients_per_cluster * clusters;
-            let point = sharper_point_threads(model, clusters, 0.10, clients, threads, duration);
+            let point = sharper_point_initiated(
+                model,
+                clusters,
+                0.10,
+                clients,
+                InitiationPolicy::SuperPrimary,
+                threads,
+                duration,
+            );
             Series {
                 system: format!("{clusters} clusters"),
                 points: vec![point],
@@ -500,11 +506,12 @@ pub fn figure_ablation(threads: ThreadMode, duration: SimTime) -> Vec<Series> {
         }
     }
     for (arm, clusters) in [("global-f", 2usize), ("group-aware", 5)] {
-        let point = sharper_point_threads(
+        let point = sharper_point_initiated(
             FailureModel::Byzantine,
             clusters,
             0.10,
             4 * clusters,
+            InitiationPolicy::SuperPrimary,
             threads,
             duration,
         );
@@ -567,15 +574,8 @@ fn parallel_probe(
     threads: ThreadMode,
     duration: SimTime,
 ) -> (sharper_core::RunReport, sharper_crypto::Digest, f64) {
-    let mut params = SystemParams::new(FailureModel::Crash, clusters, 1).with_threads(threads);
-    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    params.warmup = SimTime::from_millis(300);
-    params.initiation_policy = InitiationPolicy::SuperPrimary;
-    let mut system = SharperSystem::build(params, clients, |client| {
-        let mut cfg = WorkloadConfig::evaluation(clusters as u32, 0.10);
-        cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-        WorkloadGenerator::new(client, cfg)
-    });
+    let params = evaluation_params(FailureModel::Crash, clusters, threads);
+    let mut system = evaluation_system(params, clients, 0.10);
     let started = Instant::now();
     let report = system.run(duration);
     let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
@@ -713,18 +713,10 @@ pub fn figure_fig8xl(
         .iter()
         .map(|&clusters| {
             let clients = clients_per_cluster * clusters;
-            let mut params = SystemParams::new(FailureModel::Crash, clusters, 1)
+            let params = evaluation_params(FailureModel::Crash, clusters, threads)
                 .with_batching(BatchConfig::with_size(16))
-                .with_threads(threads)
                 .with_ledger(FIG8XL_LEDGER);
-            params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-            params.warmup = SimTime::from_millis(300);
-            params.initiation_policy = InitiationPolicy::SuperPrimary;
-            let mut system = SharperSystem::build(params, clients, |client| {
-                let mut cfg = WorkloadConfig::evaluation(clusters as u32, 0.10);
-                cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-                WorkloadGenerator::new(client, cfg)
-            });
+            let mut system = evaluation_system(params, clients, 0.10);
             let started = Instant::now();
             let report = system.run(duration);
             let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
@@ -1098,23 +1090,11 @@ fn reshard_hotspot() -> HotspotConfig {
 /// of a drift period.
 fn reshard_policy() -> ReshardConfig {
     ReshardConfig {
-        enabled: true,
         buckets_per_shard: ACCOUNTS_PER_SHARD,
         report_interval: Duration::from_millis(100),
         check_interval: Duration::from_millis(200),
-        ..ReshardConfig::enabled()
+        ..ReshardConfig::default()
     }
-}
-
-/// The hot-key-drift workload of the reshard figure: 80% of traffic on a
-/// drifting [`RESHARD_SPAN`]-account window with Zipf `s = 1.2` (see
-/// [`HotspotConfig::evaluation`]), zero baseline cross-shard traffic — every
-/// imbalance is the hotspot's.
-fn reshard_workload(client: ClientId) -> WorkloadGenerator {
-    let mut cfg =
-        WorkloadConfig::evaluation(RESHARD_CLUSTERS as u32, 0.0).with_hotspot(reshard_hotspot());
-    cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    WorkloadGenerator::new(client, cfg)
 }
 
 /// One operating point of the reshard figure: the same hot-key-drift
@@ -1180,14 +1160,17 @@ pub fn reshard_point(
     threads: ThreadMode,
     duration: SimTime,
 ) -> ReshardPoint {
-    let mut params =
-        SystemParams::new(FailureModel::Crash, RESHARD_CLUSTERS, 1).with_threads(threads);
+    let mut params = evaluation_params(FailureModel::Crash, RESHARD_CLUSTERS, threads);
     if dynamic {
         params = params.with_reshard(reshard_policy());
     }
-    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    params.warmup = SimTime::from_millis(300);
-    let mut system = SharperSystem::build(params, clients, reshard_workload);
+    // The hot-key-drift workload: 80% of traffic on a drifting
+    // `RESHARD_SPAN`-account window with Zipf `s = 1.2`, zero baseline
+    // cross-shard traffic — every imbalance is the hotspot's.
+    let cfg = evaluation_workload(RESHARD_CLUSTERS, 0.0).with_hotspot(reshard_hotspot());
+    let mut system = SharperSystem::build(params, clients, |client| {
+        WorkloadGenerator::new(client, cfg)
+    });
     let report = system.run(duration);
     ReshardPoint {
         system: if dynamic { "dynamic" } else { "static" }.to_string(),
@@ -1208,16 +1191,9 @@ pub fn reshard_fairness(
     threads: ThreadMode,
     duration: SimTime,
 ) -> (Vec<FairnessEntry>, f64) {
-    let mut params = SystemParams::new(FailureModel::Crash, RESHARD_CLUSTERS, 1)
-        .with_threads(threads)
+    let params = evaluation_params(FailureModel::Crash, RESHARD_CLUSTERS, threads)
         .with_initiation_policy(InitiationPolicy::AnyInvolvedCluster);
-    params.accounts_per_shard = ACCOUNTS_PER_SHARD;
-    params.warmup = SimTime::from_millis(300);
-    let mut system = SharperSystem::build(params, clients, |client| {
-        let mut cfg = WorkloadConfig::evaluation(RESHARD_CLUSTERS as u32, 1.0);
-        cfg.accounts_per_shard = ACCOUNTS_PER_SHARD;
-        WorkloadGenerator::new(client, cfg)
-    });
+    let mut system = evaluation_system(params, clients, 1.0);
     let report = system.run(duration);
     let fairness: Vec<FairnessEntry> = report
         .completed_by_initiator
@@ -1332,11 +1308,12 @@ mod tests {
 
     #[test]
     fn sharper_point_produces_throughput() {
-        let p = sharper_point_threads(
+        let p = sharper_point_initiated(
             FailureModel::Crash,
             4,
             0.2,
             8,
+            InitiationPolicy::SuperPrimary,
             ThreadMode::Sequential,
             QUICK,
         );
@@ -1471,11 +1448,12 @@ mod tests {
         // transactions, four independent clusters outperform a single
         // consensus group by a wide margin. Enough clients are needed to
         // push the single APR-C group into saturation.
-        let sharper = sharper_point_threads(
+        let sharper = sharper_point_initiated(
             FailureModel::Crash,
             4,
             0.0,
             224,
+            InitiationPolicy::SuperPrimary,
             ThreadMode::Sequential,
             QUICK,
         );

@@ -21,7 +21,8 @@ use std::fmt;
 ///
 /// `max_batch_size = 1` preserves the paper's per-round semantics exactly:
 /// every request is proposed the moment it arrives and no batch timer is
-/// ever armed.
+/// ever armed. A partially filled batch waits at most the consensus crate's
+/// batch timeout (2 ms) before the primary proposes it anyway.
 ///
 /// [`max_batch_size`]: BatchConfig::max_batch_size
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,28 +30,19 @@ pub struct BatchConfig {
     /// Maximum number of transactions per block. A full queue is flushed
     /// immediately; `1` disables batching.
     pub max_batch_size: usize,
-    /// How long a partially filled batch may wait for more transactions
-    /// before the primary proposes it anyway. Irrelevant when
-    /// `max_batch_size` is `1` (batches are always "full").
-    pub batch_timeout: Duration,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        Self {
-            max_batch_size: 1,
-            batch_timeout: Duration::from_millis(2),
-        }
+        Self::with_size(1)
     }
 }
 
 impl BatchConfig {
-    /// A batching configuration with the given batch size and the default
-    /// timeout.
+    /// A batching configuration with the given batch size.
     pub fn with_size(max_batch_size: usize) -> Self {
         Self {
             max_batch_size: max_batch_size.max(1),
-            ..Self::default()
         }
     }
 }
@@ -113,7 +105,7 @@ impl fmt::Display for ThreadMode {
 /// `partitions` splits the shard's account store into that many account-range
 /// partitions behind a `PartitionedStore`; the executor scheduler then runs
 /// sub-batches touching disjoint partitions on up to `exec_threads` workers.
-/// Like every other [`SimConfig`] knob, this must never change results:
+/// Like the simulator's thread mode, this must never change results:
 /// partitioned-parallel apply is required to be bit-identical to serial apply
 /// (outcomes, replies, ledger digest), which the golden-digest gate enforces.
 /// `partitions = 1` reproduces the seed's serial executor exactly.
@@ -156,7 +148,7 @@ impl ExecutorConfig {
 /// forever, reproducing the seed exactly. With checkpointing enabled, blocks
 /// whose integrity has been re-verified (the incremental audit) are folded
 /// into a rolling digest chain and pruned, keeping only the most recent
-/// `retain_blocks` blocks resident. Like every other [`SimConfig`] knob this
+/// `retain_blocks` blocks resident. Like the simulator's thread mode this
 /// must never change simulated results: pruning is a pure function of chain
 /// length, every consensus-visible query answers identically before and after
 /// truncation, and `ledger_digest()` stays bit-identical to the unpruned run.
@@ -201,60 +193,6 @@ impl LedgerConfig {
     }
 }
 
-/// Simulator execution configuration (independent of the modelled system:
-/// none of these knobs may change simulation results, only how fast the
-/// simulator produces them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SimConfig {
-    /// Worker threading mode of the discrete-event engine.
-    pub threads: ThreadMode,
-    /// How replicas execute committed batches (serial or partitioned).
-    pub exec: ExecutorConfig,
-    /// How replica ledger views retain committed history (bounded-memory
-    /// truncation behind the audit watermark, or the default retain-all).
-    pub ledger: LedgerConfig,
-    /// Whether the deterministic trace plane records events. Tracing only
-    /// observes — it charges no cost, sends nothing and draws no randomness —
-    /// so toggling it never changes results (see `sharper_common::obs`).
-    pub trace: bool,
-}
-
-impl SimConfig {
-    /// A configuration running one worker per cluster.
-    pub fn per_cluster() -> Self {
-        Self {
-            threads: ThreadMode::PerCluster,
-            ..Self::default()
-        }
-    }
-
-    /// A configuration with an explicit thread mode.
-    pub fn with_threads(threads: ThreadMode) -> Self {
-        Self {
-            threads,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the executor configuration (builder style).
-    pub fn with_executor(mut self, exec: ExecutorConfig) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Sets the ledger retention configuration (builder style).
-    pub fn with_ledger(mut self, ledger: LedgerConfig) -> Self {
-        self.ledger = ledger;
-        self
-    }
-
-    /// Enables or disables trace recording (builder style).
-    pub fn with_tracing(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-}
-
 /// A scheduled range move for deterministic reshard tests: at `at` sim-time
 /// the coordinator issues a directive moving `[start, start + len)` to
 /// cluster `to`, regardless of observed load.
@@ -272,7 +210,8 @@ pub struct ForcedMove {
 
 /// Online resharding: load-driven shard split/merge via an epoch'd shard map.
 ///
-/// When enabled (crash model only), primaries report per-bucket commit
+/// A deployment carries `Option<ReshardConfig>`: `None` disables the plane.
+/// When set (crash model only), primaries report per-bucket commit
 /// counts to the reshard coordinator (cluster 0's primary), which issues
 /// split directives moving hot buckets to under-loaded clusters and merge
 /// directives returning cooled-off buckets to their genesis owner. Each
@@ -281,8 +220,6 @@ pub struct ForcedMove {
 /// and, like every protocol input, is a deterministic function of the run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReshardConfig {
-    /// Master switch; everything below is inert when false.
-    pub enabled: bool,
     /// Number of load-tracking buckets per shard (the granularity of range
     /// moves: each bucket is `accounts_per_shard / buckets_per_shard`
     /// consecutive accounts).
@@ -298,15 +235,14 @@ pub struct ReshardConfig {
     /// `merge_factor ×` the mean bucket load.
     pub merge_factor: f64,
     /// Scripted moves executed at fixed sim times (deterministic golden /
-    /// property tests); load-driven decisions still apply unless the factors
-    /// are set out of reach.
+    /// property tests). A non-empty script holds load-driven decisions back
+    /// entirely, so the move sequence is exactly the script.
     pub forced: Vec<ForcedMove>,
 }
 
 impl Default for ReshardConfig {
     fn default() -> Self {
         Self {
-            enabled: false,
             buckets_per_shard: 8,
             report_interval: Duration::from_millis(250),
             check_interval: Duration::from_millis(500),
@@ -318,19 +254,10 @@ impl Default for ReshardConfig {
 }
 
 impl ReshardConfig {
-    /// An enabled configuration with the default thresholds.
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// An enabled configuration that only executes the given scripted moves
-    /// (load-driven decisions are disabled by unreachable thresholds).
+    /// A policy that only executes the given scripted moves (load-driven
+    /// decisions are disabled by unreachable thresholds).
     pub fn forced_only(forced: Vec<ForcedMove>) -> Self {
         Self {
-            enabled: true,
             split_factor: f64::INFINITY,
             merge_factor: 0.0,
             forced,
@@ -742,7 +669,6 @@ mod tests {
     fn batch_config_defaults_to_paper_semantics() {
         let cfg = BatchConfig::default();
         assert_eq!(cfg.max_batch_size, 1);
-        assert!(cfg.batch_timeout > Duration::ZERO);
         assert_eq!(BatchConfig::with_size(16).max_batch_size, 16);
         // A nonsensical size of 0 clamps to the unbatched protocol.
         assert_eq!(BatchConfig::with_size(0).max_batch_size, 1);

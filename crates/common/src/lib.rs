@@ -22,7 +22,7 @@ pub mod time;
 
 pub use config::{
     BatchConfig, ClusterConfig, ClusterGroup, ClusterLayout, ExecutorConfig, FailureModel,
-    ForcedMove, InitiationPolicy, LedgerConfig, ReshardConfig, SimConfig, SystemConfig, ThreadMode,
+    ForcedMove, InitiationPolicy, LedgerConfig, ReshardConfig, SystemConfig, ThreadMode,
 };
 pub use cost::{CostModel, LatencyModel, LinkKind};
 pub use error::{Error, Result};

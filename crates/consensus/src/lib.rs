@@ -34,8 +34,9 @@ pub mod mempool;
 pub mod messages;
 pub mod replica;
 pub mod sigcache;
+pub mod timeouts;
 
-pub use config::{ReplicaConfig, TimerConfig};
+pub use config::ReplicaConfig;
 pub use mempool::{percentile_us, Mempool, MempoolMetrics};
 pub use messages::{timer_tags, Msg};
 pub use replica::Replica;

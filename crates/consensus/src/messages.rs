@@ -25,8 +25,6 @@ pub mod timer_tags {
     pub const RETRY: u64 = 2;
     /// The view-change timer armed by backups while a request is in flight.
     pub const VIEW_CHANGE: u64 = 3;
-    /// Client-side submission pacing timer (used by workload clients).
-    pub const CLIENT_SUBMIT: u64 = 4;
     /// Client-side retransmission timer.
     pub const CLIENT_RETRY: u64 = 5;
     /// The primary's batch timer: a partially filled batch is proposed when
@@ -697,7 +695,6 @@ mod tests {
             CONFLICT,
             RETRY,
             VIEW_CHANGE,
-            CLIENT_SUBMIT,
             CLIENT_RETRY,
             BATCH,
             XABORT_RETRANSMIT,

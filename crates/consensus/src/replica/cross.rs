@@ -22,6 +22,7 @@
 
 use super::{AbortRetx, CrossRound, Replica, Reservation};
 use crate::messages::{proposal_sign_bytes, timer_tags, vote_sign_bytes, Msg};
+use crate::timeouts;
 use sharper_common::{ClusterId, Duration, FailureModel, NodeId, TraceKind};
 use sharper_crypto::{hash_parts, Digest, Signature};
 use sharper_ledger::{Batch, VerifiedBatch, VerifiedBlock};
@@ -43,19 +44,19 @@ fn parents_digest(parents: &BTreeMap<ClusterId, Digest>) -> Digest {
 }
 
 impl Replica {
-    /// Retry delay for a cross-shard round: the configured `retry_timeout`
-    /// plus a deterministic jitter in `[0, retry_timeout/4)` derived from the
-    /// batch digest, the attempt number and this node's id. Without the
-    /// jitter every initiator retries in lockstep at exact multiples of the
-    /// retry timeout, so under heavy cross-shard conflict whole seeds either
+    /// Retry delay for a cross-shard round: [`timeouts::RETRY`] plus a
+    /// deterministic jitter in `[0, RETRY/4)` derived from the batch digest,
+    /// the attempt number and this node's id. Without the jitter every
+    /// initiator retries in lockstep at exact multiples of the retry
+    /// timeout, so under heavy cross-shard conflict whole seeds either
     /// always win or always lose the race against the 400ms conflict timeout
     /// — fixed seeds showed ~5× throughput swings. The jitter is a pure
     /// function of simulation state, so runs stay bit-identical across
-    /// thread modes. Worst-case give-up window stays 1.25 × retry_timeout ×
-    /// max_retries, still below the reservation probe threshold (checked by
+    /// thread modes. Worst-case give-up window stays 1.25 × RETRY ×
+    /// MAX_RETRIES, still below the reservation probe threshold (checked by
     /// a config test).
     fn retry_delay(&self, d: Digest, attempt: u32) -> Duration {
-        let base = self.cfg.timers.retry_timeout;
+        let base = timeouts::RETRY;
         let span = (base.as_micros() / 4).max(1);
         let mut h = d
             .short_u64()
@@ -247,7 +248,7 @@ impl Replica {
                 return;
             }
             None => {
-                let timer = ctx.set_timer(self.cfg.timers.conflict_timeout, timer_tags::CONFLICT);
+                let timer = ctx.set_timer(timeouts::CONFLICT, timer_tags::CONFLICT);
                 self.reservation = Some(Reservation {
                     d,
                     timer,
@@ -451,7 +452,7 @@ impl Replica {
             Some(res) if res.d == d => {}
             Some(_) => return,
             None => {
-                let timer = ctx.set_timer(self.cfg.timers.conflict_timeout, timer_tags::CONFLICT);
+                let timer = ctx.set_timer(timeouts::CONFLICT, timer_tags::CONFLICT);
                 self.reservation = Some(Reservation {
                     d,
                     timer,
@@ -846,7 +847,7 @@ impl Replica {
             self.abort_retx.remove(&d);
         } else {
             let next = ctx.set_timer(
-                self.cfg.timers.xabort_retransmit_interval,
+                timeouts::XABORT_RETRANSMIT_INTERVAL,
                 timer_tags::XABORT_RETRANSMIT,
             );
             self.abort_retx.get_mut(&d).expect("entry exists").timer = next;
@@ -968,7 +969,7 @@ impl Replica {
         }
         let give_up_allowed = self.model() == FailureModel::Crash;
         let round = self.cross.get_mut(&d).expect("round exists");
-        if round.attempt >= self.cfg.timers.max_retries && give_up_allowed {
+        if round.attempt >= timeouts::MAX_RETRIES && give_up_allowed {
             // Give up: unblock the primary; the clients will eventually
             // retransmit and the transactions will be re-initiated. This is
             // safe in the crash model because the initiator is the only
@@ -1000,20 +1001,18 @@ impl Replica {
             // The abort is the only thing standing between a reserved remote
             // primary and a livelock; losing the single copy must not be
             // fatal, so it is retransmitted a few times.
-            if self.cfg.timers.xabort_retransmits > 0 {
-                let timer = ctx.set_timer(
-                    self.cfg.timers.xabort_retransmit_interval,
-                    timer_tags::XABORT_RETRANSMIT,
-                );
-                self.abort_retx.insert(
-                    d,
-                    AbortRetx {
-                        involved,
-                        left: self.cfg.timers.xabort_retransmits,
-                        timer,
-                    },
-                );
-            }
+            let timer = ctx.set_timer(
+                timeouts::XABORT_RETRANSMIT_INTERVAL,
+                timer_tags::XABORT_RETRANSMIT,
+            );
+            self.abort_retx.insert(
+                d,
+                AbortRetx {
+                    involved,
+                    left: timeouts::XABORT_RETRANSMITS,
+                    timer,
+                },
+            );
             self.process_buffered(ctx);
             return;
         }

@@ -28,6 +28,7 @@ use crate::config::ReplicaConfig;
 use crate::mempool::Mempool;
 use crate::messages::{timer_tags, AcceptedRound, Ballot, Msg, PreparedCert};
 use crate::sigcache::SigCache;
+use crate::timeouts;
 use sharper_common::{ClientId, ClusterId, FailureModel, NodeId, TraceKind, TxId};
 use sharper_crypto::keys::SignerId;
 use sharper_crypto::{hash, Digest, Signature, Signer};
@@ -343,7 +344,7 @@ pub struct Replica {
     /// The epoch of `pmap`; bumped exactly once per applied handover.
     map_epoch: u64,
     /// Dynamic-resharding state (load buckets, coordinator bookkeeping, the
-    /// freeze → handover pipeline). Inert unless `cfg.reshard.enabled`.
+    /// freeze → handover pipeline). Inert unless `cfg.reshard` is set.
     reshard: reshard::ReshardState,
     stats: ReplicaStats,
 }
@@ -664,7 +665,7 @@ impl Replica {
 
     fn ensure_batch_timer(&mut self, ctx: &mut Context<Msg>) {
         if self.batch_timer.is_none() {
-            self.batch_timer = Some(ctx.set_timer(self.cfg.batch.batch_timeout, timer_tags::BATCH));
+            self.batch_timer = Some(ctx.set_timer(timeouts::BATCH, timer_tags::BATCH));
         }
     }
 
@@ -911,8 +912,9 @@ impl Replica {
             .maybe_checkpoint(&self.cfg.ledger)
             .expect("committed chain re-verifies at the watermark");
         // One execution-cost charge per transaction plus one block digest.
-        // The charge is identical in every executor mode: partitioning is a
-        // `SimConfig` knob and must never perturb simulated timing.
+        // The charge is identical in every executor mode: partitioning only
+        // models apply-path parallelism and must never perturb simulated
+        // timing.
         ctx.charge(self.cfg.cost.execution_batch(batch.len()));
         // The whole batch applies atomically in order (commit_block already
         // rejected blocks overlapping committed transactions). The
@@ -1328,8 +1330,7 @@ impl Actor<Msg> for Replica {
                 if let Some(res) = self.reservation {
                     if res.timer == timer {
                         if self.is_primary() || self.model() == FailureModel::Crash {
-                            let timer = ctx
-                                .set_timer(self.cfg.timers.conflict_timeout, timer_tags::CONFLICT);
+                            let timer = ctx.set_timer(timeouts::CONFLICT, timer_tags::CONFLICT);
                             let renewals = res.renewals.saturating_add(1);
                             self.reservation = Some(Reservation {
                                 d: res.d,
@@ -1346,7 +1347,7 @@ impl Actor<Msg> for Replica {
                             // round is dead — the prober cannot know which
                             // view the initiator cluster is in.
                             if self.model() == FailureModel::Crash
-                                && renewals >= self.cfg.timers.reservation_probe_after
+                                && renewals >= timeouts::RESERVATION_PROBE_AFTER
                             {
                                 let initiator = self.cross.get(&res.d).map(|round| round.initiator);
                                 if let Some(initiator) = initiator {

@@ -28,7 +28,9 @@
 
 use super::Replica;
 use crate::messages::{timer_tags, Msg};
-use sharper_common::{AccountId, ClientId, ClusterId, FailureModel, TraceKind, TxId};
+use sharper_common::{
+    AccountId, ClientId, ClusterId, FailureModel, ReshardConfig, TraceKind, TxId,
+};
 use sharper_crypto::Signature;
 use sharper_ledger::{Batch, VerifiedBatch};
 use sharper_net::{ActorId, Context};
@@ -50,8 +52,8 @@ pub(super) struct PendingMove {
     pub epoch: u64,
 }
 
-/// Per-replica dynamic-resharding state. Inert unless `cfg.reshard.enabled`
-/// and the failure model is crash.
+/// Per-replica dynamic-resharding state. Inert unless a reshard policy is
+/// configured and the failure model is crash.
 #[derive(Debug, Default)]
 pub(super) struct ReshardState {
     /// Per-bucket `(total, movable)` commit counts since the last load
@@ -84,9 +86,18 @@ pub(super) struct ReshardState {
 }
 
 impl Replica {
+    /// The resharding policy, if the plane is active on this replica: one
+    /// is configured and the failure model is crash.
+    fn reshard_policy(&self) -> Option<&ReshardConfig> {
+        match self.model() {
+            FailureModel::Crash => self.cfg.reshard.as_ref(),
+            FailureModel::Byzantine => None,
+        }
+    }
+
     /// Whether the dynamic-resharding plane is active on this replica.
     pub(super) fn reshard_active(&self) -> bool {
-        self.cfg.reshard.enabled && self.model() == FailureModel::Crash
+        self.reshard_policy().is_some()
     }
 
     /// The system client id this cluster's primary submits reshard
@@ -104,22 +115,24 @@ impl Replica {
         self.cluster == ClusterId(0) && self.is_primary()
     }
 
-    /// Size of one load bucket in accounts (`None` when the partitioner is
-    /// not range-based — resharding is inert then).
+    /// Size of one load bucket in accounts (`None` when the plane is
+    /// inactive or the partitioner is not range-based — resharding is inert
+    /// then).
     fn bucket_size(&self) -> Option<u64> {
+        let policy = self.reshard_policy()?;
         let aps = self.pmap.accounts_per_shard()?;
-        Some((aps / self.cfg.reshard.buckets_per_shard.max(1)).max(1))
+        Some((aps / policy.buckets_per_shard.max(1)).max(1))
     }
 
     /// Arms the periodic reshard timers. Called from `on_start`; primaries
     /// report load, the coordinator additionally evaluates decisions.
     pub(super) fn start_reshard_timers(&mut self, ctx: &mut Context<Msg>) {
-        if !self.reshard_active() || self.bucket_size().is_none() {
+        let (Some(policy), Some(_)) = (self.reshard_policy(), self.bucket_size()) else {
             return;
-        }
-        ctx.set_timer(self.cfg.reshard.report_interval, timer_tags::LOAD_REPORT);
+        };
+        ctx.set_timer(policy.report_interval, timer_tags::LOAD_REPORT);
         if self.is_coordinator() {
-            ctx.set_timer(self.cfg.reshard.check_interval, timer_tags::RESHARD_CHECK);
+            ctx.set_timer(policy.check_interval, timer_tags::RESHARD_CHECK);
         }
     }
 
@@ -127,12 +140,12 @@ impl Replica {
     /// load buckets (called from the apply path; primaries of every cluster
     /// keep counting so a view change does not lose the signal).
     pub(super) fn note_commit_load(&mut self, tx: &Transaction) {
-        if !self.reshard_active() || tx.is_reshard() {
-            return;
-        }
         let Some(bucket_size) = self.bucket_size() else {
             return;
         };
+        if tx.is_reshard() {
+            return;
+        }
         let accounts = tx.accounts();
         let movable = {
             let mut buckets = accounts.iter().map(|a| a.0 / bucket_size);
@@ -158,10 +171,10 @@ impl Replica {
     /// re-arm. Counts reset each interval, so a report is a rate, not a
     /// cumulative total — drift moves the hot buckets between reports.
     pub(super) fn handle_load_report_timer(&mut self, ctx: &mut Context<Msg>) {
-        if !self.reshard_active() {
+        let Some(policy) = self.reshard_policy() else {
             return;
-        }
-        ctx.set_timer(self.cfg.reshard.report_interval, timer_tags::LOAD_REPORT);
+        };
+        ctx.set_timer(policy.report_interval, timer_tags::LOAD_REPORT);
         if !self.is_primary() {
             self.reshard.load.clear();
             return;
@@ -208,10 +221,10 @@ impl Replica {
     /// Coordinator: the decision timer fired. Issue at most one directive
     /// (scripted moves first, then load-driven split/merge) and re-arm.
     pub(super) fn handle_reshard_check_timer(&mut self, ctx: &mut Context<Msg>) {
-        if !self.reshard_active() || !self.is_coordinator() {
+        let Some(policy) = self.reshard_policy().filter(|_| self.is_coordinator()) else {
             return;
-        }
-        ctx.set_timer(self.cfg.reshard.check_interval, timer_tags::RESHARD_CHECK);
+        };
+        ctx.set_timer(policy.check_interval, timer_tags::RESHARD_CHECK);
         if let Some((epoch, start, len, to)) = self.reshard.inflight {
             // Re-send the in-flight directive: the original (or its
             // `ReshardDone` ack) may have been dropped. The owner primary
@@ -233,8 +246,13 @@ impl Replica {
         &mut self,
         elapsed: sharper_common::Duration,
     ) -> Option<(u64, u64, ClusterId)> {
+        let forced = &self.reshard_policy()?.forced;
+        let (next, scripted) = (
+            forced.get(self.reshard.next_forced).copied(),
+            !forced.is_empty(),
+        );
         // Scripted moves fire in order once their time arrives.
-        if let Some(forced) = self.cfg.reshard.forced.get(self.reshard.next_forced) {
+        if let Some(forced) = next {
             if elapsed >= forced.at {
                 self.reshard.next_forced += 1;
                 return Some((forced.start, forced.len, ClusterId(forced.to)));
@@ -244,7 +262,7 @@ impl Replica {
             // script.
             return None;
         }
-        if !self.cfg.reshard.forced.is_empty() {
+        if scripted {
             return None;
         }
         self.load_driven_decision()
@@ -254,6 +272,7 @@ impl Replica {
     /// iteration-order dependence: buckets aggregate into a `BTreeMap` and
     /// ties break towards the lowest bucket / cluster id.
     fn load_driven_decision(&self) -> Option<(u64, u64, ClusterId)> {
+        let policy = self.reshard_policy()?;
         let bucket_size = self.bucket_size()?;
         let mut by_bucket: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
         let mut total_by_cluster: BTreeMap<ClusterId, u64> = BTreeMap::new();
@@ -275,7 +294,7 @@ impl Replica {
         }
         let grand_total: u64 = by_bucket.values().map(|(total, _)| total).sum();
         let bucket_count =
-            (u64::from(self.pmap.shard_count()) * self.cfg.reshard.buckets_per_shard.max(1)).max(1);
+            (u64::from(self.pmap.shard_count()) * policy.buckets_per_shard.max(1)).max(1);
         let mean = grand_total as f64 / bucket_count as f64;
         if grand_total == 0 {
             return None;
@@ -289,7 +308,7 @@ impl Replica {
             let load: u64 = (first..first + n)
                 .map(|b| by_bucket.get(&b).map_or(0, |(total, _)| *total))
                 .sum();
-            if (load as f64) < self.cfg.reshard.merge_factor * mean * n as f64 {
+            if (load as f64) < policy.merge_factor * mean * n as f64 {
                 let home = self.pmap.base_shard_of(AccountId(mv.start));
                 return Some((mv.start, mv.len, home));
             }
@@ -303,7 +322,7 @@ impl Replica {
             .iter()
             .filter(|(_, (total, movable))| total == movable)
             .max_by_key(|(bucket, (total, _))| (*total, std::cmp::Reverse(**bucket)))?;
-        if (hot_load as f64) <= self.cfg.reshard.split_factor * mean {
+        if (hot_load as f64) <= policy.split_factor * mean {
             return None;
         }
         let start = hot_bucket * bucket_size;

@@ -35,6 +35,7 @@ use super::{Replica, VcVote};
 use crate::messages::{
     proposal_sign_bytes, timer_tags, vote_sign_bytes, AcceptedRound, Ballot, Msg, PreparedCert,
 };
+use crate::timeouts;
 use sharper_common::{ClusterId, FailureModel, NodeId, TraceKind};
 use sharper_crypto::{Digest, QuorumCert, Signature};
 use sharper_ledger::VerifiedBatch;
@@ -50,8 +51,7 @@ impl Replica {
     /// Arms the view-change timer if work is in flight and no timer is armed.
     pub(super) fn ensure_view_change_timer(&mut self, ctx: &mut Context<Msg>) {
         if self.vc_timer.is_none() {
-            self.vc_timer =
-                Some(ctx.set_timer(self.cfg.timers.view_change_timeout, timer_tags::VIEW_CHANGE));
+            self.vc_timer = Some(ctx.set_timer(timeouts::VIEW_CHANGE, timer_tags::VIEW_CHANGE));
         }
     }
 

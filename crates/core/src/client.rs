@@ -7,13 +7,13 @@
 //! primary of the responsible cluster until the window is full, records the
 //! end-to-end latency of each reply quorum and refills the window. A window
 //! larger than 1 is what lets the primary's batching layer fill blocks.
-//! Requests that receive no reply within the retransmission timeout are
-//! resubmitted (this is what provides liveness across primary failures
-//! together with the view change).
+//! Requests that receive no reply within the retransmission timeout
+//! (`sharper_consensus::timeouts::CLIENT_RETRY`) are resubmitted — always to
+//! the view-0 primary, since the client does not track views.
 
-use sharper_common::{ClientId, ClusterId, Duration, NodeId, TraceKind, TxId};
+use sharper_common::{ClientId, ClusterId, NodeId, TraceKind, TxId};
 use sharper_consensus::replica::client_signer_id;
-use sharper_consensus::{timer_tags, Msg, ReplicaConfig};
+use sharper_consensus::{timeouts, timer_tags, Msg, ReplicaConfig};
 use sharper_crypto::Signature;
 use sharper_net::{Actor, ActorId, CommitSample, Context, StatsHandle, TimerId};
 use sharper_state::{Partitioner, Transaction};
@@ -23,11 +23,6 @@ use std::sync::Arc;
 /// Client behaviour parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct ClientParams {
-    /// How long to wait for replies before retransmitting a request.
-    pub retry_timeout: Duration,
-    /// Optional think time between receiving a reply and submitting the next
-    /// request (zero for the saturation experiments).
-    pub think_time: Duration,
     /// How many requests the client keeps in flight. `1` is the paper's
     /// closed-loop client; larger windows feed the primary's batching layer.
     pub max_in_flight: usize,
@@ -35,19 +30,7 @@ pub struct ClientParams {
 
 impl Default for ClientParams {
     fn default() -> Self {
-        Self {
-            retry_timeout: Duration::from_millis(2_000),
-            think_time: Duration::ZERO,
-            max_in_flight: 1,
-        }
-    }
-}
-
-impl ClientParams {
-    /// Sets the in-flight window (builder style).
-    pub fn with_in_flight(mut self, max_in_flight: usize) -> Self {
-        self.max_in_flight = max_in_flight.max(1);
-        self
+        Self { max_in_flight: 1 }
     }
 }
 
@@ -174,9 +157,11 @@ impl ClientActor {
         }
     }
 
-    /// The replica a request should be sent to: the primary of the initiator
-    /// cluster (super-primary policy for cross-shard transactions), under the
-    /// client's current view of the shard map.
+    /// The replica a request should be sent to: the view-0 primary of the
+    /// initiator cluster (super-primary policy for cross-shard transactions),
+    /// under the client's current view of the shard map. The client does not
+    /// learn views, so after a view change it keeps targeting the old
+    /// primary.
     fn target_of(&self, tx: &Transaction) -> (ClusterId, NodeId) {
         let involved = tx.involved_clusters(&self.pmap);
         // Under the any-involved-cluster policy the client nominates the
@@ -211,7 +196,7 @@ impl ClientActor {
         ctx.charge(self.cfg.cost.client());
         self.stats.record_submission();
         ctx.trace(|| TraceKind::ClientSubmit { tx: tx.id });
-        let retry_timer = ctx.set_timer(self.params.retry_timeout, timer_tags::CLIENT_RETRY);
+        let retry_timer = ctx.set_timer(timeouts::CLIENT_RETRY, timer_tags::CLIENT_RETRY);
         self.outstanding.insert(
             tx.id,
             Outstanding {
@@ -301,68 +286,53 @@ impl Actor<Msg> for ClientActor {
             committed_at: ctx.now(),
             cross_shard: outstanding.cross_shard,
         });
-        if self.params.think_time == Duration::ZERO {
-            self.fill_window(ctx);
-        } else {
-            ctx.set_timer(self.params.think_time, timer_tags::CLIENT_SUBMIT);
-        }
+        self.fill_window(ctx);
     }
 
     fn on_timer(&mut self, timer: TimerId, tag: u64, ctx: &mut Context<Msg>) {
-        match tag {
-            // Each completion schedules its own think-time timer, so each
-            // firing replaces exactly the one slot whose think time elapsed
-            // (refilling the whole window here would cut short the think
-            // time of completions whose timers are still pending).
-            timer_tags::CLIENT_SUBMIT
-                if self.outstanding.len() < self.params.max_in_flight.max(1) =>
-            {
-                self.submit_next(ctx)
-            }
-            timer_tags::CLIENT_RETRY => {
-                let Some((&id, _)) = self
-                    .outstanding
-                    .iter()
-                    .find(|(_, o)| o.retry_timer == timer)
-                else {
-                    return;
-                };
-                // No quorum of replies yet: retransmit to the (possibly new)
-                // primary and arm a fresh timer.
-                self.retransmissions += 1;
-                ctx.trace(|| TraceKind::ClientRetry { tx: id });
-                let outstanding = self.outstanding.get_mut(&id).expect("found above");
-                let tx = Arc::clone(&outstanding.tx);
-                let retry_timer =
-                    ctx.set_timer(self.params.retry_timeout, timer_tags::CLIENT_RETRY);
-                outstanding.retry_timer = retry_timer;
-                // Re-route under the client's CURRENT map: the retransmission
-                // may go to a different initiator than the original if a
-                // redirect advanced the map in the meantime.
-                let (initiator, target) = self.target_of(&tx);
-                self.outstanding
-                    .get_mut(&id)
-                    .expect("found above")
-                    .initiator = initiator;
-                let sig = self.sign(&tx);
-                ctx.send(
-                    ActorId::Node(target),
-                    Msg::Request {
-                        tx,
-                        epoch: self.map_epoch,
-                        sig,
-                    },
-                );
-            }
-            _ => {}
+        if tag != timer_tags::CLIENT_RETRY {
+            return;
         }
+        let Some((&id, _)) = self
+            .outstanding
+            .iter()
+            .find(|(_, o)| o.retry_timer == timer)
+        else {
+            return;
+        };
+        // No quorum of replies yet: retransmit and arm a fresh timer. The
+        // retransmission goes to the view-0 primary like the first
+        // transmission (`target_of`), even if that cluster changed view.
+        self.retransmissions += 1;
+        ctx.trace(|| TraceKind::ClientRetry { tx: id });
+        let outstanding = self.outstanding.get_mut(&id).expect("found above");
+        let tx = Arc::clone(&outstanding.tx);
+        let retry_timer = ctx.set_timer(timeouts::CLIENT_RETRY, timer_tags::CLIENT_RETRY);
+        outstanding.retry_timer = retry_timer;
+        // Re-route under the client's CURRENT map: the retransmission may go
+        // to a different initiator than the original if a redirect advanced
+        // the map in the meantime.
+        let (initiator, target) = self.target_of(&tx);
+        self.outstanding
+            .get_mut(&id)
+            .expect("found above")
+            .initiator = initiator;
+        let sig = self.sign(&tx);
+        ctx.send(
+            ActorId::Node(target),
+            Msg::Request {
+                tx,
+                epoch: self.map_epoch,
+                sig,
+            },
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharper_common::{AccountId, FailureModel, SimTime, SystemConfig};
+    use sharper_common::{AccountId, Duration, FailureModel, SimTime, SystemConfig};
     use sharper_consensus::replica::node_signer_id;
     use sharper_crypto::KeyRegistry;
     use sharper_state::Partitioner;
@@ -432,7 +402,7 @@ mod tests {
         );
         assert_eq!(client.completed(), 1);
         assert_eq!(stats.committed(), 1);
-        // The next request went out immediately (closed loop, no think time).
+        // The next request went out immediately (closed loop).
         assert!(ctx
             .take_outbox()
             .iter()
@@ -570,7 +540,7 @@ mod tests {
         let mut client = ClientActor::new(
             ClientId(1),
             cfg,
-            ClientParams::default().with_in_flight(4),
+            ClientParams { max_in_flight: 4 },
             txs(10),
             stats.clone(),
         );
@@ -693,7 +663,7 @@ mod tests {
         let mut client = ClientActor::new(
             ClientId(1),
             cfg,
-            ClientParams::default().with_in_flight(2),
+            ClientParams { max_in_flight: 2 },
             txs(2),
             StatsHandle::new(),
         );

@@ -11,19 +11,23 @@ use crate::client::{ClientActor, ClientParams};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sharper_common::{
-    AccountId, BatchConfig, ClientId, ClusterId, CostModel, FailureModel, InitiationPolicy,
-    LatencyModel, LedgerConfig, NodeId, ReshardConfig, SimConfig, SimTime, StreamingHistogram,
-    SystemConfig, ThreadMode, TraceEvent,
+    AccountId, BatchConfig, ClientId, ClusterId, CostModel, ExecutorConfig, FailureModel,
+    InitiationPolicy, LatencyModel, LedgerConfig, NodeId, ReshardConfig, SimTime,
+    StreamingHistogram, SystemConfig, ThreadMode, TraceEvent,
 };
 use sharper_consensus::replica::{client_signer_id, node_signer_id, ReplicaStats};
-use sharper_consensus::{Msg, Replica, ReplicaConfig, TimerConfig};
+use sharper_consensus::{Msg, Replica, ReplicaConfig};
 use sharper_crypto::{hash_parts, Digest, KeyRegistry};
 use sharper_ledger::{audit_replica_views, AuditReport, LedgerView};
 use sharper_net::{FaultPlan, LatencySummary, Simulation, SimulationReport, StatsHandle, Topology};
 use sharper_state::{Partitioner, Transaction};
 use std::sync::Arc;
 
-/// Parameters of a SharPer deployment.
+/// Parameters of a SharPer deployment: the one place every knob of a run is
+/// set. Protocol timeouts are constants (`sharper_consensus::timeouts`).
+/// `threads`, `exec`, `ledger` and `trace` only change how the simulator
+/// and the replicas produce results, never the results themselves — the
+/// golden-seed suite enforces it.
 #[derive(Debug, Clone)]
 pub struct SystemParams {
     /// Failure model of all replicas.
@@ -42,8 +46,6 @@ pub struct SystemParams {
     pub cost: CostModel,
     /// Network latency model for the simulation.
     pub latency: LatencyModel,
-    /// Protocol timers.
-    pub timers: TimerConfig,
     /// Primary-side transaction batching (`max_batch_size = 1` reproduces
     /// the paper's one-transaction blocks).
     pub batch: BatchConfig,
@@ -51,20 +53,28 @@ pub struct SystemParams {
     pub faults: FaultPlan,
     /// Simulator execution strategy (sequential or conservative-parallel
     /// lanes). Never changes results, only wall-clock time.
-    pub sim: SimConfig,
+    pub threads: ThreadMode,
+    /// How replicas execute committed batches (serial or partitioned).
+    pub exec: ExecutorConfig,
+    /// How replica ledger views retain committed history (retain-all, or
+    /// bounded-memory truncation behind the audit watermark).
+    pub ledger: LedgerConfig,
+    /// Whether the deterministic trace plane records events.
+    pub trace: bool,
     /// Seed for all pseudo-randomness (network jitter, workload).
     pub seed: u64,
     /// Client behaviour.
     pub client: ClientParams,
     /// Length of the warm-up period excluded from the steady-state summary.
     pub warmup: SimTime,
-    /// Dynamic resharding policy (disabled by default; crash model only).
-    pub reshard: ReshardConfig,
+    /// Dynamic resharding policy (`None`, the default, disables it; crash
+    /// model only).
+    pub reshard: Option<ReshardConfig>,
 }
 
 impl SystemParams {
     /// Parameters matching the paper's deployments: `clusters` clusters of
-    /// the minimum size for fault budget `f`, default models and timers.
+    /// the minimum size for fault budget `f` and default models.
     pub fn new(failure_model: FailureModel, clusters: usize, f: usize) -> Self {
         Self {
             failure_model,
@@ -75,20 +85,22 @@ impl SystemParams {
             initiation_policy: InitiationPolicy::SuperPrimary,
             cost: CostModel::default(),
             latency: LatencyModel::default(),
-            timers: TimerConfig::default(),
             batch: BatchConfig::default(),
             faults: FaultPlan::none(),
-            sim: SimConfig::default(),
+            threads: ThreadMode::default(),
+            exec: ExecutorConfig::default(),
+            ledger: LedgerConfig::default(),
+            trace: false,
             seed: 42,
             client: ClientParams::default(),
             warmup: SimTime::from_millis(500),
-            reshard: ReshardConfig::default(),
+            reshard: None,
         }
     }
 
-    /// Sets the dynamic resharding policy (builder style).
+    /// Enables dynamic resharding with the given policy (builder style).
     pub fn with_reshard(mut self, reshard: ReshardConfig) -> Self {
-        self.reshard = reshard;
+        self.reshard = Some(reshard);
         self
     }
 
@@ -108,7 +120,7 @@ impl SystemParams {
     /// produce bit-identical results to sequential runs — the golden-seed
     /// suite enforces it — so this only trades wall-clock time.
     pub fn with_threads(mut self, threads: ThreadMode) -> Self {
-        self.sim.threads = threads;
+        self.threads = threads;
         self
     }
 
@@ -123,7 +135,7 @@ impl SystemParams {
     /// randomness — so toggling it never changes results; the golden-seed
     /// suite enforces it.
     pub fn with_tracing(mut self, trace: bool) -> Self {
-        self.sim.trace = trace;
+        self.trace = trace;
         self
     }
 
@@ -136,20 +148,20 @@ impl SystemParams {
     }
 
     /// Sets the executor (state-partitioning) configuration (builder style).
-    /// Like the thread mode, this is a `SimConfig` knob: every executor mode
-    /// produces bit-identical results — the golden-seed suite enforces it —
-    /// so it only models the apply-path parallelism.
-    pub fn with_executor(mut self, exec: sharper_common::ExecutorConfig) -> Self {
-        self.sim.exec = exec;
+    /// Like the thread mode, every executor mode produces bit-identical
+    /// results — the golden-seed suite enforces it — so it only models the
+    /// apply-path parallelism.
+    pub fn with_executor(mut self, exec: ExecutorConfig) -> Self {
+        self.exec = exec;
         self
     }
 
     /// Sets the ledger retention configuration (builder style). Like the
-    /// thread mode, this is a `SimConfig` knob: truncating configurations
-    /// produce bit-identical results to retain-all runs — the golden-seed
-    /// suite enforces it — so this only bounds retained memory.
+    /// thread mode, truncating configurations produce bit-identical results
+    /// to retain-all runs — the golden-seed suite enforces it — so this only
+    /// bounds retained memory.
     pub fn with_ledger(mut self, ledger: LedgerConfig) -> Self {
-        self.sim.ledger = ledger;
+        self.ledger = ledger;
         self
     }
 
@@ -167,10 +179,9 @@ impl SystemParams {
         let partitioner = Partitioner::range(self.clusters as u32, self.accounts_per_shard);
         Arc::new(ReplicaConfig {
             cost: self.cost,
-            timers: self.timers,
             batch: self.batch,
-            exec: self.sim.exec,
-            ledger: self.sim.ledger,
+            exec: self.exec,
+            ledger: self.ledger,
             reshard: self.reshard.clone(),
             ..ReplicaConfig::new(system, partitioner, registry)
         })
@@ -248,8 +259,8 @@ impl SharperSystem {
                 topology.add_client(ClientId(c as u64), ClusterId((c % params.clusters) as u32));
             }
             Simulation::new(topology, params.latency, params.faults.clone(), params.seed)
-                .with_threads(params.sim.threads)
-                .with_tracing(params.sim.trace)
+                .with_threads(params.threads)
+                .with_tracing(params.trace)
         };
 
         for node in cfg.system.node_ids() {
@@ -709,6 +720,59 @@ mod tests {
         }
         // The handover blocks pass the same audit as every other block.
         assert!(report.audit.distinct_transactions > 0);
+    }
+
+    #[test]
+    fn every_protocol_knob_set_on_system_params_reaches_the_replicas() {
+        // None of these knobs changes results, so no digest would notice a
+        // copy dropped between `SystemParams` and the replicas: check each
+        // one by its effect instead.
+        let reshard = forced_split_merge(600, 1_400);
+        let mut params = SystemParams::new(FailureModel::Crash, 2, 1)
+            .with_batching(BatchConfig::with_size(8))
+            .with_executor(ExecutorConfig::partitioned(4, 1))
+            .with_ledger(LedgerConfig::checkpointed(8, 64))
+            .with_reshard(reshard.clone())
+            .with_tracing(true);
+        params.accounts_per_shard = 1_000;
+        params.warmup = SimTime::from_millis(100);
+        let mut system = SharperSystem::build(params, 4, |client| {
+            workload_with(client, 2, 1_000, 1_000, 0.1, 2)
+        });
+        let cfg = system.config();
+        assert_eq!(cfg.batch, BatchConfig::with_size(8));
+        assert_eq!(cfg.exec, ExecutorConfig::partitioned(4, 1));
+        assert_eq!(cfg.ledger, LedgerConfig::checkpointed(8, 64));
+        assert_eq!(cfg.reshard, Some(reshard));
+
+        let report = system.run(SimTime::from_secs(3));
+        let (blocks, txs) = report.replica_stats.iter().fold((0, 0), |(b, t), (_, s)| {
+            (
+                b + s.committed_blocks,
+                t + s.committed_intra + s.committed_cross,
+            )
+        });
+        assert!(
+            txs >= 2 * blocks,
+            "batches filled: {txs} txs in {blocks} blocks"
+        );
+        let trace = system.take_trace();
+        assert!(
+            trace
+                .iter()
+                .any(|e| matches!(e.kind, sharper_common::TraceKind::ExecPlan { .. })),
+            "the partitioned executor planned batches"
+        );
+        let (retained, logical) = system.ledger_footprint();
+        assert!(
+            retained < logical,
+            "ledgers truncated: {retained} of {logical}"
+        );
+        for node in system.config().system.node_ids() {
+            let r = system.replica(node).expect("replica exists");
+            assert_eq!(r.store().partitions(), 4, "replica {node} store");
+            assert!(r.map_epoch() >= 1, "replica {node} applied a handover");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Ledger truncation is a `SimConfig` knob: checkpointing + pruning behind
+//! Ledger truncation only bounds memory: checkpointing + pruning behind
 //! the audit watermark must never change simulated results. These tests pin
 //! the property the golden-seed CI gate relies on — `retain=all` and every
 //! truncating configuration produce bit-identical digests and reports — and

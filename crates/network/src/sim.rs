@@ -609,42 +609,20 @@ impl<M: Clone + Send, A: Actor<M> + Send> Simulation<M, A> {
     /// Selects the execution strategy (builder style). Must be called before
     /// the simulation starts.
     pub fn with_threads(mut self, threads: ThreadMode) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
-    /// Selects the execution strategy. Must be called before the simulation
-    /// starts.
-    pub fn set_threads(&mut self, threads: ThreadMode) {
         assert!(
             !self.started,
             "thread mode must be set before the run starts"
         );
         self.threads = threads;
-    }
-
-    /// The configured execution strategy.
-    pub fn threads(&self) -> ThreadMode {
-        self.threads
+        self
     }
 
     /// Enables trace recording (builder style). Must be set before the run
     /// starts. Tracing only observes — it cannot change results.
     pub fn with_tracing(mut self, tracing: bool) -> Self {
-        self.set_tracing(tracing);
-        self
-    }
-
-    /// Enables or disables trace recording. Must be set before the run
-    /// starts.
-    pub fn set_tracing(&mut self, tracing: bool) {
         assert!(!self.started, "tracing must be set before the run starts");
         self.tracing = tracing;
-    }
-
-    /// Whether trace recording is enabled.
-    pub fn tracing(&self) -> bool {
-        self.tracing
+        self
     }
 
     /// Drains the trace recorded so far, merged across lanes and sorted into

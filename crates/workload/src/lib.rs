@@ -2,8 +2,8 @@
 //!
 //! Workload generation for the SharPer evaluation (§4): the accounting
 //! application with a configurable fraction of cross-shard transactions, the
-//! number of shards each cross-shard transaction touches, and optional
-//! skewed (Zipf-like) account popularity.
+//! number of shards each cross-shard transaction touches, and an optional
+//! drifting Zipfian hotspot.
 //!
 //! The generator is deterministic per `(seed, client)` pair so experiment
 //! runs are reproducible, and it guarantees that every debit is issued by the
@@ -14,23 +14,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rand::distributions::Distribution;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sharper_common::{AccountId, ClientId, ClusterId, TxId};
 use sharper_state::{Operation, Partitioner, Transaction};
-
-/// How accounts are picked inside a shard.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AccessDistribution {
-    /// Every account is equally likely.
-    Uniform,
-    /// Zipf-like skew: account `k` is chosen with probability ∝ 1/(k+1)^θ.
-    Zipfian {
-        /// Skew parameter θ (0 = uniform, 1 ≈ classic Zipf).
-        theta: f64,
-    },
-}
 
 /// A drifting Zipfian hotspot layered over the base workload: a fraction of
 /// the stream reads accounts from a narrow "hot" window, ranked by a Zipf(s)
@@ -89,8 +76,6 @@ pub struct WorkloadConfig {
     /// Number of shards each cross-shard transaction touches (the paper uses
     /// 2 throughout the evaluation).
     pub shards_per_cross_tx: usize,
-    /// Distribution of destination-account popularity.
-    pub access: AccessDistribution,
     /// Optional drifting Zipfian hotspot (hot-key-drift workloads).
     pub hotspot: Option<HotspotConfig>,
     /// Seed mixed with the client id for reproducibility.
@@ -106,7 +91,6 @@ impl WorkloadConfig {
             accounts_per_shard: 10_000,
             cross_shard_ratio,
             shards_per_cross_tx: 2,
-            access: AccessDistribution::Uniform,
             hotspot: None,
             seed: 0x5AA5,
         }
@@ -211,19 +195,9 @@ impl WorkloadGenerator {
         (base, (aps - base).max(1))
     }
 
+    /// A uniformly drawn account of the cold region of `shard`.
     fn pick_account(&mut self, shard: ClusterId) -> AccountId {
-        let n = self.cold_span();
-        let idx = match self.config.access {
-            AccessDistribution::Uniform => self.rng.gen_range(0..n),
-            AccessDistribution::Zipfian { theta } => {
-                // Inverse-CDF approximation of a Zipf-like distribution,
-                // adequate for generating skewed-contention workloads.
-                let u: f64 = self.rng.gen_range(0.0..1.0);
-                let exponent = 1.0 - theta.clamp(0.0, 0.999);
-                let k = ((n as f64).powf(exponent) * u).powf(1.0 / exponent);
-                (k as u64).min(n - 1)
-            }
-        };
+        let idx = self.rng.gen_range(0..self.cold_span());
         self.partitioner
             .account_in_shard(shard, idx)
             .expect("index within shard")
@@ -381,20 +355,6 @@ pub fn analyze(transactions: &[Transaction], partitioner: &Partitioner) -> Workl
     }
 }
 
-/// Helper used by the zipfian distribution to satisfy the `Distribution`
-/// bound expected by some callers (kept for API completeness).
-#[derive(Debug, Clone, Copy)]
-pub struct UniformAccount {
-    /// Number of accounts per shard.
-    pub accounts_per_shard: u64,
-}
-
-impl Distribution<u64> for UniformAccount {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        rng.gen_range(0..self.accounts_per_shard)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,25 +410,6 @@ mod tests {
             WorkloadGenerator::new(ClientId(2), WorkloadConfig::evaluation(4, 0.3)).take_vec(100);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn zipfian_access_prefers_low_indices() {
-        let mut cfg = WorkloadConfig::evaluation(1, 0.0);
-        cfg.access = AccessDistribution::Zipfian { theta: 0.9 };
-        let mut gen = WorkloadGenerator::new(ClientId(1), cfg);
-        let batch = gen.take_vec(3_000);
-        let mut low = 0usize;
-        for tx in &batch {
-            if let Operation::Transfer { to, .. } = tx.operations[0] {
-                if to.0 < 1_000 {
-                    low += 1;
-                }
-            }
-        }
-        // Under uniform access ~10% of destinations are in the first 10% of
-        // the keyspace; with skew the share must be clearly higher.
-        assert!(low as f64 > 0.2 * batch.len() as f64, "low hits: {low}");
     }
 
     #[test]
