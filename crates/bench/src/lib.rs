@@ -9,9 +9,11 @@
 //!   figures`) runs the full sweeps and prints the series that correspond to
 //!   Figures 6(a)–(d), 7(a)–(d) and 8(a)–(b), plus the two ablations
 //!   (`--fig ablation`, see [`figure_ablation`]).
-//! * The `golden`, `faultsweep`, `tracecheck` and `perfgate` binaries are
-//!   the CI gates: the determinism matrix, the fault sweep, the trace
-//!   invariants and the simulated-throughput regression check.
+//! * The `golden`, `faultsweep` and `perfgate` binaries are the CI gates:
+//!   the determinism matrix, the fault sweep (audit, liveness, trace
+//!   invariants and fairness) and the simulated-throughput regression
+//!   check. `golden` and `faultsweep` build their deployments from
+//!   [`gate::Deployment`].
 //!
 //! Per-layer host timings (hashing, block build, ledger append, message
 //! clone, …) live in the repo benchmark, `sharperbench layers`.
@@ -19,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gate;
 pub mod trace;
 
 use sharper_baselines::{BaselineKind, BaselineParams, BaselineSystem};
@@ -981,7 +984,7 @@ pub fn exec_to_json(sweep: &ExecSweep) -> String {
 }
 
 /// Returns the value following `flag` in `args` — the one tiny piece of CLI
-/// parsing shared by this crate's binaries (`figures`, `golden`, `perfgate`).
+/// parsing shared by this crate's binaries.
 pub fn cli_flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)

@@ -1,6 +1,6 @@
 //! Deterministic trace analysis: the per-phase latency breakdown behind
-//! `BENCH_phases.json` and the invariant verifier behind the `tracecheck`
-//! binary.
+//! `BENCH_phases.json` and the invariant verifier every `faultsweep` run
+//! must pass.
 //!
 //! The input is the event stream produced by
 //! [`sharper_core::SharperSystem::take_trace`]: sim-timestamped transaction

@@ -513,8 +513,11 @@ impl Replica {
 
     /// The primary of `cluster` as this replica currently believes it to be.
     /// For the replica's own cluster this follows its view number; for other
-    /// clusters view 0 is assumed (view changes are a per-cluster affair and
-    /// the evaluation workloads do not exercise remote view changes).
+    /// clusters it is always view 0's primary, because nothing tells a
+    /// replica another cluster's view. That is a known limitation (ROADMAP
+    /// item 1): once a remote primary fails over, as in the
+    /// `failover_lossy_b16` benchmark workload, wrong-shard and cross-shard
+    /// forwarding still target its dead view-0 primary.
     fn primary_of(&self, cluster: ClusterId) -> NodeId {
         let view = if cluster == self.cluster {
             self.view

@@ -201,24 +201,33 @@ fn golden_seeds_match_the_values_pinned_before_the_one_pass_commit_path() {
     // kept one block per round, the audit borrowed its views and the engine
     // indexed actors densely. Those are host-side changes: every thread mode
     // must still reproduce the ledger digest and the engine's counters bit
-    // for bit. (A change that means to alter the protocol or the cost model
-    // re-pins these from the values the failing assertion prints; the
-    // digests are also the first two lines of `golden --threads sequential`.)
-    let pinned = [
+    // for bit. The digests, delivered and dropped counts are the first two
+    // lines of the pinned `bench/baselines/golden.txt` (a change that means
+    // to alter the protocol or the cost model re-pins that file from
+    // `golden --out`, and the counters here from the failing assertion).
+    let golden = include_str!("../../../bench/baselines/golden.txt");
+    let pinned = |row: &str| {
+        let line = golden.lines().find(|l| l.starts_with(row)).expect(row);
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let count = |i: usize| -> usize { fields[i].parse().expect("a count") };
+        (fields[1].to_string(), count(3), count(4))
+    };
+    let rows = [
         (
             FailureModel::Crash,
             0xC0FFEE,
-            "327c8bf27b6c2bc1bb131ab8be2bd4f2bb4cef2c17ab3f6662713c11fb44be05",
-            (952, 3, 53, 80, 64),
+            pinned("crash-3c-30cross-drop1-seed-c0ffee "),
+            (53, 80, 64),
         ),
         (
             FailureModel::Byzantine,
             0xBEEF,
-            "5b56b2f9b7ec58bea726ae221827544d0a5621b2e4a3817abf624b5397287dcf",
-            (3210, 38, 52, 1126, 41),
+            pinned("byz-3c-30cross-drop1-seed-beef "),
+            (52, 1126, 41),
         ),
     ];
-    for (model, seed, digest, counters) in pinned {
+    for (model, seed, (digest, delivered, dropped), (timers, deferred, completed)) in rows {
+        let counters = (delivered, dropped, timers, deferred, completed);
         for threads in [
             ThreadMode::Sequential,
             ThreadMode::PerCluster,

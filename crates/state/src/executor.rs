@@ -517,7 +517,7 @@ mod tests {
         assert_eq!(exec.apply(&mut store, &tx), ExecutionOutcome::Aborted);
         // Unknown source account local to this shard.
         let mut p = Partitioner::range(4, 100);
-        p = p.with_override(AccountId(7777), ClusterId(0));
+        p.apply_range_move(7777, 1, ClusterId(0));
         let exec2 = Executor::new(ClusterId(0), p);
         let tx = Transaction::transfer(ClientId(1), 2, AccountId(7777), AccountId(2), 1);
         assert_eq!(exec2.apply(&mut store, &tx), ExecutionOutcome::Aborted);
@@ -720,7 +720,8 @@ mod tests {
 
     #[test]
     fn transfer_to_unknown_local_destination_creates_account() {
-        let partitioner = Partitioner::range(2, 10).with_override(AccountId(555), ClusterId(0));
+        let mut partitioner = Partitioner::range(2, 10);
+        partitioner.apply_range_move(555, 1, ClusterId(0));
         let exec = Executor::new(ClusterId(0), partitioner);
         let mut store = exec.genesis_store(10, 100, ClientId);
         let tx = Transaction::transfer(ClientId(1), 0, AccountId(1), AccountId(555), 30);

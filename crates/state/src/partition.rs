@@ -8,13 +8,13 @@
 //! * a range partitioner (the default for the evaluation workload, where the
 //!   workload generator chooses accounts per shard explicitly),
 //! * a hash partitioner, and
-//! * explicit per-account overrides, which is how a workload-aware placement
-//!   (e.g. produced by a tool like Schism \[20\]) is expressed.
+//! * range overlays on either, with which online resharding, this
+//!   repository's workload-aware placement, moves contiguous account ranges
+//!   between shards ([`Partitioner::apply_range_move`]).
 
 use sharper_common::{AccountId, ClusterId};
-use std::collections::HashMap;
 
-/// Strategy for the default (non-overridden) mapping.
+/// Strategy for the base mapping, before any overlay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Strategy {
     /// Account `a` lives in shard `(a / accounts_per_shard) % shards`.
@@ -46,10 +46,8 @@ pub struct RangeMove {
 pub struct Partitioner {
     shards: u32,
     strategy: Strategy,
-    /// Workload-aware overrides taking precedence over the strategy.
-    overrides: HashMap<AccountId, ClusterId>,
     /// Resharding overlays (sorted by `start`, disjoint). Checked before the
-    /// strategy but after explicit overrides.
+    /// strategy.
     overlays: Vec<RangeMove>,
 }
 
@@ -66,7 +64,6 @@ impl Partitioner {
         Self {
             shards,
             strategy: Strategy::Range { accounts_per_shard },
-            overrides: HashMap::new(),
             overlays: Vec::new(),
         }
     }
@@ -77,19 +74,8 @@ impl Partitioner {
         Self {
             shards,
             strategy: Strategy::Hash,
-            overrides: HashMap::new(),
             overlays: Vec::new(),
         }
-    }
-
-    /// Adds a workload-aware override pinning `account` to `shard`.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn with_override(mut self, account: AccountId, shard: ClusterId) -> Self {
-        assert!(shard.0 < self.shards, "override shard out of range");
-        self.overrides.insert(account, shard);
-        self
     }
 
     /// Number of shards.
@@ -99,9 +85,6 @@ impl Partitioner {
 
     /// The shard that owns `account`.
     pub fn shard_of(&self, account: AccountId) -> ClusterId {
-        if let Some(s) = self.overrides.get(&account) {
-            return *s;
-        }
         if let Some(mv) = self.overlay_covering(account) {
             return mv.to;
         }
@@ -256,15 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn overrides_take_precedence() {
-        let p = Partitioner::range(4, 100).with_override(AccountId(5), ClusterId(3));
-        assert_eq!(p.shard_of(AccountId(5)), ClusterId(3));
-        assert_eq!(p.shard_of(AccountId(6)), ClusterId(0));
-        assert!(p.owns(ClusterId(3), AccountId(5)));
-        assert!(!p.owns(ClusterId(0), AccountId(5)));
-    }
-
-    #[test]
     fn account_in_shard_round_trips_for_range() {
         let p = Partitioner::range(5, 50);
         for shard in 0..5u32 {
@@ -341,13 +315,5 @@ mod tests {
         assert_eq!(p, q);
         assert_eq!(q.shard_of(AccountId(320)), ClusterId(0));
         assert_eq!(q.base_shard_of(AccountId(320)), ClusterId(3));
-    }
-
-    #[test]
-    fn overrides_beat_overlays() {
-        let mut p = Partitioner::range(4, 100).with_override(AccountId(30), ClusterId(3));
-        p.apply_range_move(0, 100, ClusterId(1));
-        assert_eq!(p.shard_of(AccountId(30)), ClusterId(3));
-        assert_eq!(p.shard_of(AccountId(31)), ClusterId(1));
     }
 }
