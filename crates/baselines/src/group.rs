@@ -14,10 +14,10 @@
 
 use sharper_common::{ClusterId, CostModel, FailureModel, NodeId, TxId};
 use sharper_crypto::Digest;
-use sharper_ledger::{Block, LedgerView};
+use sharper_ledger::{Block, LedgerView, Parents};
 use sharper_net::{Actor, ActorId, Context};
 use sharper_state::{AccountStore, Executor, Partitioner, Transaction};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Messages exchanged by the baseline systems.
@@ -343,8 +343,7 @@ impl GroupReplica {
             round.votes.insert(self.node);
             let parent = round.parent;
             // Advance the proposal chain past this round.
-            let mut parents = BTreeMap::new();
-            parents.insert(self.ledger.cluster(), parent);
+            let parents = Parents::single(self.ledger.cluster(), parent);
             let block = Block::transaction(Arc::clone(&tx), parents);
             if parent == self.tail {
                 self.tail = block.digest();
@@ -383,8 +382,7 @@ impl GroupReplica {
                 reply_to: reply_to.into(),
             },
         );
-        let mut parents = BTreeMap::new();
-        parents.insert(self.ledger.cluster(), parent);
+        let parents = Parents::single(self.ledger.cluster(), parent);
         self.commit_block(ctx, Block::transaction(tx, parents), reply_to);
         self.rounds.remove(&d);
     }
@@ -458,8 +456,7 @@ impl Actor<BMsg> for GroupReplica {
                     return;
                 }
                 self.reply_targets.remove(&d);
-                let mut parents = BTreeMap::new();
-                parents.insert(self.ledger.cluster(), parent);
+                let parents = Parents::single(self.ledger.cluster(), parent);
                 self.commit_block(ctx, Block::transaction(tx, parents), reply_to.into());
             }
             BMsg::Reply { .. }

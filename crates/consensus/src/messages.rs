@@ -8,9 +8,8 @@
 
 use sharper_common::{ClusterId, NodeId, TxId};
 use sharper_crypto::{Digest, QuorumCert, Signature};
-use sharper_ledger::Batch;
+use sharper_ledger::{Batch, Parents};
 use sharper_state::{RangeMove, Transaction};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Timer tags used by replicas and clients (the simulator hands the tag back
@@ -246,7 +245,7 @@ pub enum Msg {
         /// Digest (batch root) of the committed batch.
         d: Digest,
         /// One parent hash per involved cluster (shared across the fan-out).
-        parents: Arc<BTreeMap<ClusterId, Digest>>,
+        parents: Parents,
         /// The committed batch (carried so lagging replicas can apply).
         batch: Batch,
     },
@@ -288,7 +287,7 @@ pub enum Msg {
         d: Digest,
         /// One parent hash per involved cluster (as assembled from the accept
         /// quorum observed by the sender; shared across the fan-out).
-        parents: Arc<BTreeMap<ClusterId, Digest>>,
+        parents: Parents,
         /// The sender's cluster.
         cluster: ClusterId,
         /// The sending node.
@@ -576,7 +575,7 @@ mod tests {
         .starts_new_transaction());
         assert!(!Msg::XCommit {
             d: Digest::ZERO,
-            parents: Arc::new(BTreeMap::new()),
+            parents: Parents::default(),
             batch: batch()
         }
         .starts_new_transaction());

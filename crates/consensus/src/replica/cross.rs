@@ -24,23 +24,21 @@ use super::{AbortRetx, CrossRound, Replica, Reservation};
 use crate::messages::{proposal_sign_bytes, timer_tags, vote_sign_bytes, Msg};
 use crate::timeouts;
 use sharper_common::{ClusterId, Duration, FailureModel, NodeId, TraceKind};
-use sharper_crypto::{hash_parts, Digest, Signature};
-use sharper_ledger::{Batch, VerifiedBatch, VerifiedBlock};
+use sharper_crypto::{Digest, Sha256, Signature};
+use sharper_ledger::{Batch, Parents, VerifiedBatch, VerifiedBlock};
 use sharper_net::{ActorId, Context, TimerId};
 use std::collections::hash_map::Entry;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
-/// Digest of a parents map, used as the signing context of commit votes.
-fn parents_digest(parents: &BTreeMap<ClusterId, Digest>) -> Digest {
-    let mut parts: Vec<Vec<u8>> = Vec::with_capacity(parents.len() * 2 + 1);
-    parts.push(b"sharper-parents".to_vec());
-    for (cluster, digest) in parents {
-        parts.push(cluster.0.to_le_bytes().to_vec());
-        parts.push(digest.as_bytes().to_vec());
+/// Digest of a block's parents, used as the signing context of commit votes:
+/// the tag, then each `(cluster, digest)` in cluster order, streamed.
+fn parents_digest(parents: &Parents) -> Digest {
+    let mut h = Sha256::new();
+    h.update(b"sharper-parents");
+    for (cluster, digest) in parents.iter() {
+        h.update(&cluster.0.to_le_bytes());
+        h.update(digest.as_bytes());
     }
-    let slices: Vec<&[u8]> = parts.iter().map(|p| p.as_slice()).collect();
-    hash_parts(&slices)
+    Digest(h.finalize())
 }
 
 impl Replica {
@@ -339,7 +337,6 @@ impl Replica {
             ctx.cancel_timer(timer);
         }
         // One allocation backs the fan-out message and the appended block.
-        let parents = Arc::new(parents);
         ctx.trace(|| TraceKind::XCommit {
             batch: d.short_u64(),
         });
@@ -347,7 +344,7 @@ impl Replica {
             self.members_of_all_except_self(&involved),
             Msg::XCommit {
                 d,
-                parents: Arc::clone(&parents),
+                parents: parents.clone(),
                 batch: Batch::clone(&batch),
             },
         );
@@ -362,14 +359,14 @@ impl Replica {
     pub(super) fn handle_xcommit(
         &mut self,
         d: Digest,
-        parents: Arc<BTreeMap<ClusterId, Digest>>,
+        parents: Parents,
         batch: Batch,
         ctx: &mut Context<Msg>,
     ) {
         if self.model() != FailureModel::Crash || batch.is_empty() {
             return;
         }
-        if !parents.contains_key(&self.cluster) {
+        if parents.get(self.cluster).is_none() {
             return;
         }
         // The round holds the batch this replica verified when the proposal
@@ -582,7 +579,7 @@ impl Replica {
             self.members_of_all_except_self(&involved),
             Msg::XCommitB {
                 d,
-                parents: Arc::new(parents),
+                parents,
                 cluster: self.cluster,
                 node: self.node,
                 sig,
@@ -597,7 +594,7 @@ impl Replica {
         &mut self,
         from: ActorId,
         d: Digest,
-        parents: Arc<BTreeMap<ClusterId, Digest>>,
+        parents: Parents,
         cluster: ClusterId,
         node: NodeId,
         sig: Signature,
@@ -631,7 +628,7 @@ impl Replica {
             return;
         }
         match &round.parents {
-            Some(ours) if *ours == *parents => {
+            Some(ours) if *ours == parents => {
                 round.commit_votes.entry(cluster).or_default().insert(node);
                 self.try_finalize_cross_bft(d, ctx);
             }
@@ -698,7 +695,7 @@ impl Replica {
 
     /// Checks whether every involved cluster has contributed a quorum of
     /// accepts (plus its primary's accept) and, if so, returns the assembled
-    /// parents map.
+    /// parents.
     ///
     /// The parent recorded for each cluster is the one reported by that
     /// cluster's primary: the primary is the replica that orders the
@@ -715,8 +712,8 @@ impl Replica {
     /// parent would place a second block at an already-taken height — a
     /// fork. The round simply waits; the initiator's retry collects fresh
     /// tails until the accepts of a live primary and its cluster converge.
-    fn assemble_parents(&self, round: &CrossRound) -> Option<BTreeMap<ClusterId, Digest>> {
-        let mut parents = BTreeMap::new();
+    fn assemble_parents(&self, round: &CrossRound) -> Option<Parents> {
+        let mut parents = Vec::with_capacity(round.involved.len());
         for cluster in &round.involved {
             let quorum = self.quorum_of(*cluster);
             let votes = round.accepts.get(cluster)?;
@@ -732,9 +729,9 @@ impl Replica {
             {
                 return None;
             }
-            parents.insert(*cluster, parent);
+            parents.push((*cluster, parent));
         }
-        Some(parents)
+        Some(Parents::new(parents).expect("involved clusters are distinct"))
     }
 
     fn release_reservation_if(&mut self, d: Digest, ctx: &mut Context<Msg>) {
@@ -887,20 +884,13 @@ impl Replica {
     fn answer_cross_fate(&mut self, d: Digest, to: ActorId, ctx: &mut Context<Msg>) {
         if let Some(block_digest) = self.cross_blocks.get(&d).copied() {
             if let Some(block) = self.ledger.block(block_digest) {
-                let mut parents = BTreeMap::new();
-                for cluster in block.involved_clusters() {
-                    if let Some(parent) = block.parent_for(cluster) {
-                        parents.insert(cluster, parent);
-                    }
-                }
                 if let Some(batch) = block.body_batch() {
-                    let batch = batch.clone();
                     ctx.send(
                         to,
                         Msg::XCommit {
                             d,
-                            parents: Arc::new(parents),
-                            batch,
+                            parents: block.parents.clone(),
+                            batch: batch.clone(),
                         },
                     );
                     return;

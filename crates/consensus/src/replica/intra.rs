@@ -8,11 +8,11 @@
 //! the ones evaluated in the paper. With `max_batch_size = 1` every batch
 //! holds a single transaction and the rounds are bit-for-bit the paper's.
 
-use super::{intra_parents, IntraRound, Replica};
+use super::{IntraRound, Replica};
 use crate::messages::{proposal_sign_bytes, vote_sign_bytes, Ballot, Msg};
 use sharper_common::{FailureModel, TraceKind};
 use sharper_crypto::{Digest, Signature};
-use sharper_ledger::{Batch, Block, VerifiedBatch, VerifiedBlock};
+use sharper_ledger::{Batch, Block, Parents, VerifiedBatch, VerifiedBlock};
 use sharper_net::{ActorId, Context};
 use std::collections::hash_map::Entry;
 
@@ -138,7 +138,7 @@ impl Replica {
             // Only the digest is looked up, so the claimed root is enough:
             // a forged batch under a committed root endorses that root's
             // committed block, nothing else.
-            let replay = Block::batch(batch, intra_parents(self.cluster, parent));
+            let replay = Block::batch(batch, Parents::single(self.cluster, parent));
             // All-history membership: a truncating ledger no longer holds the
             // payload, but the digest index still answers exactly.
             if self.ledger.knows_block(replay.digest()) {
@@ -298,7 +298,7 @@ impl Replica {
             }
             None => self
                 .verify_unseen_commit(batch)
-                .map(|batch| VerifiedBlock::chain(batch, intra_parents(self.cluster, parent))),
+                .map(|batch| VerifiedBlock::chain(batch, Parents::single(self.cluster, parent))),
         };
         ctx.trace(|| TraceKind::Commit {
             batch: d.short_u64(),

@@ -32,7 +32,7 @@ use crate::timeouts;
 use sharper_common::{ClientId, ClusterId, FailureModel, NodeId, TraceKind, TxId};
 use sharper_crypto::keys::SignerId;
 use sharper_crypto::{hash, Digest, Signature, Signer};
-use sharper_ledger::{Batch, Block, LedgerView, VerifiedBatch, VerifiedBlock};
+use sharper_ledger::{Batch, Block, LedgerView, Parents, VerifiedBatch, VerifiedBlock};
 use sharper_net::{Actor, ActorId, Context, TimerId};
 use sharper_state::{
     AccountStore, ExecutionOutcome, Executor, PartitionedStore, Partitioner, Transaction,
@@ -89,12 +89,6 @@ pub struct ReplicaStats {
     pub reshards_applied: usize,
 }
 
-/// The parents map of an intra-shard block right after `parent` in
-/// `cluster`'s chain.
-fn intra_parents(cluster: ClusterId, parent: Digest) -> BTreeMap<ClusterId, Digest> {
-    BTreeMap::from([(cluster, parent)])
-}
-
 /// State of one in-flight intra-shard consensus round.
 ///
 /// A round holds *witnesses*, not plain values: this replica derived the
@@ -134,7 +128,7 @@ struct IntraRound {
 impl IntraRound {
     fn new(cluster: ClusterId, batch: VerifiedBatch, parent: Digest, ballot: Ballot) -> Self {
         Self {
-            block: VerifiedBlock::chain(batch.clone(), intra_parents(cluster, parent)),
+            block: VerifiedBlock::chain(batch.clone(), Parents::single(cluster, parent)),
             batch,
             ballot,
             prepares: BTreeSet::new(),
@@ -153,10 +147,9 @@ impl IntraRound {
 
     /// The chain position the round proposes to fill.
     fn parent(&self) -> Digest {
-        *self
-            .block
+        self.block
             .parents
-            .values()
+            .digests()
             .next()
             .expect("an intra-shard block has one parent")
     }
@@ -168,7 +161,7 @@ impl IntraRound {
         if self.parent() == parent {
             self.block.clone()
         } else {
-            VerifiedBlock::chain(self.batch.clone(), intra_parents(cluster, parent))
+            VerifiedBlock::chain(self.batch.clone(), Parents::single(cluster, parent))
         }
     }
 
@@ -181,7 +174,7 @@ impl IntraRound {
     /// Gives a placeholder round (a PBFT `prepare` that overtook its
     /// `pre-prepare`) the payload the pre-prepare delivered.
     fn fill(&mut self, cluster: ClusterId, batch: VerifiedBatch, parent: Digest) {
-        self.block = VerifiedBlock::chain(batch.clone(), intra_parents(cluster, parent));
+        self.block = VerifiedBlock::chain(batch.clone(), Parents::single(cluster, parent));
         self.batch = batch;
     }
 }
@@ -223,7 +216,7 @@ struct CrossRound {
     /// Byzantine commit votes: cluster → nodes whose commit matched ours.
     commit_votes: HashMap<ClusterId, BTreeSet<NodeId>>,
     /// The parents assembled from the accept quorums (fixed once reached).
-    parents: Option<BTreeMap<ClusterId, Digest>>,
+    parents: Option<Parents>,
     /// Whether this replica already multicast its commit (Byzantine) or the
     /// commit message (crash initiator).
     sent_commit: bool,

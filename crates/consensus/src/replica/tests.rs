@@ -494,16 +494,17 @@ fn reserved_replica_buffers_new_transactions_until_commit() {
     // second block for a committed height, so it is dropped, not answered.
     let stale_parent = {
         let stale_parent = net.replica(4).ledger().head();
-        let mut parents = std::collections::BTreeMap::new();
-        parents.insert(ClusterId(0), net.replica(0).ledger().head());
-        parents.insert(ClusterId(1), stale_parent);
+        let parents = Parents::new([
+            (ClusterId(0), net.replica(0).ledger().head()),
+            (ClusterId(1), stale_parent),
+        ]);
         let replica = net.replicas.get_mut(&NodeId(4)).unwrap();
         let mut ctx = Context::detached(SimTime::from_millis(3), ActorId::Node(NodeId(4)));
         replica.on_message(
             ActorId::Node(NodeId(0)),
             Msg::XCommit {
                 d,
-                parents: Arc::new(parents),
+                parents: parents.unwrap(),
                 batch: xbatch,
             },
             &mut ctx,
@@ -1756,10 +1757,7 @@ fn a_forged_batch_in_a_cross_shard_propose_or_commit_is_never_appended() {
     let forged = forge(&honest, cross_tx(77, 1));
     let d = honest.digest();
     let n0 = ActorId::Node(NodeId(0));
-    let parents = Arc::new(BTreeMap::from([
-        (ClusterId(0), genesis),
-        (ClusterId(1), genesis),
-    ]));
+    let parents = Parents::new([(ClusterId(0), genesis), (ClusterId(1), genesis)]).unwrap();
     let propose = |batch: &Batch| Msg::XPropose {
         initiator: ClusterId(0),
         attempt: 0,
@@ -1768,10 +1766,10 @@ fn a_forged_batch_in_a_cross_shard_propose_or_commit_is_never_appended() {
     };
     let commit = |batch: &Batch| Msg::XCommit {
         d,
-        parents: Arc::clone(&parents),
+        parents: parents.clone(),
         batch: batch.clone(),
     };
-    let expected = Block::batch(honest.clone(), Arc::clone(&parents));
+    let expected = Block::batch(honest.clone(), parents.clone());
 
     // Forged propose: no accept, no reservation, no round. Forged commit
     // with no round: nothing appended.

@@ -479,6 +479,48 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_is_recorded_once_however_many_replies_follow() {
+        // The stats collector counts every sample it is given; the client is
+        // what records a transaction once. The request is retransmitted,
+        // then completes on its first quorum of replies. Every later reply —
+        // the rest of the cluster's, and a second round answering the
+        // retransmission — finds nothing outstanding and records nothing.
+        for (model, quorum) in [(FailureModel::Crash, 1), (FailureModel::Byzantine, 2)] {
+            let stats = StatsHandle::new();
+            let mut client = ClientActor::new(
+                ClientId(1),
+                config(model),
+                ClientParams::default(),
+                txs(2),
+                stats.clone(),
+            );
+            let me = ActorId::Client(ClientId(1));
+            let mut ctx = Context::detached(SimTime::ZERO, me);
+            client.on_start(&mut ctx);
+            let (timer, _, tag) = ctx.take_timers()[0];
+            let mut ctx = Context::detached(SimTime::from_secs(2), me);
+            client.on_timer(timer, tag, &mut ctx);
+            assert_eq!(client.retransmissions(), 1, "{model}");
+
+            let first = Transaction::transfer(ClientId(1), 0, AccountId(1), AccountId(2), 1).id;
+            let mut ctx = Context::detached(SimTime::from_millis(2_010), me);
+            for (i, node) in [0, 1, 2, 3, 0, 1, 2, 3].into_iter().enumerate() {
+                let reply = Msg::Reply {
+                    tx: first,
+                    node: NodeId(node),
+                    applied: true,
+                };
+                client.on_message(ActorId::Node(NodeId(node)), reply, &mut ctx);
+                let done = usize::from(i + 1 >= quorum);
+                assert_eq!(client.completed(), done, "{model} after reply {i}");
+                assert_eq!(stats.committed(), done, "{model} after reply {i}");
+            }
+            assert_eq!(stats.recent_samples().len(), 1, "{model}");
+            assert_eq!(stats.recent_samples()[0].tx, first, "{model}");
+        }
+    }
+
+    #[test]
     fn retry_timer_retransmits_the_outstanding_request() {
         let cfg = config(FailureModel::Crash);
         let mut client = ClientActor::new(

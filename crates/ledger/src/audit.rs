@@ -198,27 +198,21 @@ pub fn audit_replica_views<V: Borrow<LedgerView>>(views: &[(ClusterId, V)]) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
+    use crate::block::{Block, Parents};
     use sharper_common::{AccountId, ClientId};
     use sharper_state::Transaction;
-    use std::collections::BTreeMap;
 
     fn tx(client: u64, seq: u64) -> Transaction {
         Transaction::transfer(ClientId(client), seq, AccountId(1), AccountId(2), 1)
     }
 
     fn intra(view: &LedgerView, t: Transaction) -> Block {
-        let mut parents = BTreeMap::new();
-        parents.insert(view.cluster(), view.head());
-        Block::transaction(t, parents)
+        Block::transaction(t, Parents::single(view.cluster(), view.head()))
     }
 
     fn cross(views: &[&LedgerView], t: Transaction) -> Block {
-        let mut parents = BTreeMap::new();
-        for v in views {
-            parents.insert(v.cluster(), v.head());
-        }
-        Block::transaction(t, parents)
+        let parents = Parents::new(views.iter().map(|v| (v.cluster(), v.head())));
+        Block::transaction(t, parents.expect("distinct clusters"))
     }
 
     #[test]
@@ -258,18 +252,15 @@ mod tests {
         v1.append(b.clone()).unwrap();
         // Now each cluster commits the other block, re-parented to its head
         // (this is what a buggy/forked implementation would produce).
+        let genesis = Block::genesis().digest();
         let b_for_v0 = {
-            let mut parents = BTreeMap::new();
-            parents.insert(ClusterId(0), v0.head());
-            parents.insert(ClusterId(1), Block::genesis().digest());
-            Block::transaction(tx(2, 0), parents)
+            let parents = Parents::new([(ClusterId(0), v0.head()), (ClusterId(1), genesis)]);
+            Block::transaction(tx(2, 0), parents.unwrap())
         };
         v0.append(b_for_v0).unwrap();
         let a_for_v1 = {
-            let mut parents = BTreeMap::new();
-            parents.insert(ClusterId(0), Block::genesis().digest());
-            parents.insert(ClusterId(1), v1.head());
-            Block::transaction(tx(1, 0), parents)
+            let parents = Parents::new([(ClusterId(0), genesis), (ClusterId(1), v1.head())]);
+            Block::transaction(tx(1, 0), parents.unwrap())
         };
         v1.append(a_for_v1).unwrap();
 

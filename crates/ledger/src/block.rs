@@ -16,6 +16,76 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
+/// The parents of a block: one digest per involved cluster, in ascending
+/// cluster order, no cluster twice — the order the block digest, the
+/// cross-shard vote digest and the commit messages all stream them in.
+///
+/// One flat shared slice: an intra-shard block's single parent is one
+/// allocation of 56 bytes, and cloning it — into a commit message's fan-out,
+/// a replica's appended block — is a reference-count bump. There is no
+/// public field; every constructor sorts, and a repeated cluster has no
+/// representation.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Parents(Arc<[(ClusterId, Digest)]>);
+
+impl Parents {
+    /// The parents of a block chained after `parent` in `cluster` alone.
+    pub fn single(cluster: ClusterId, parent: Digest) -> Self {
+        Self(Arc::new([(cluster, parent)]))
+    }
+
+    /// The parents named by `pairs`, in any order; `None` if a cluster
+    /// appears twice.
+    pub fn new(pairs: impl IntoIterator<Item = (ClusterId, Digest)>) -> Option<Self> {
+        let mut pairs: Vec<(ClusterId, Digest)> = pairs.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(cluster, _)| cluster);
+        if pairs.windows(2).any(|w| w[0].0 == w[1].0) {
+            return None;
+        }
+        Some(Self(pairs.into()))
+    }
+
+    /// The parent digest recorded for `cluster`, if it is involved.
+    pub fn get(&self, cluster: ClusterId) -> Option<Digest> {
+        let i = self.0.binary_search_by_key(&cluster, |&(c, _)| c).ok()?;
+        Some(self.0[i].1)
+    }
+
+    /// The involved clusters, ascending.
+    pub fn clusters(&self) -> impl Iterator<Item = ClusterId> + '_ {
+        self.0.iter().map(|&(cluster, _)| cluster)
+    }
+
+    /// The parent digests, in cluster order.
+    pub fn digests(&self) -> impl Iterator<Item = Digest> + '_ {
+        self.0.iter().map(|&(_, digest)| digest)
+    }
+}
+
+impl Deref for Parents {
+    type Target = [(ClusterId, Digest)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl From<BTreeMap<ClusterId, Digest>> for Parents {
+    fn from(map: BTreeMap<ClusterId, Digest>) -> Self {
+        Self(map.into_iter().collect())
+    }
+}
+
+impl From<Arc<BTreeMap<ClusterId, Digest>>> for Parents {
+    fn from(map: Arc<BTreeMap<ClusterId, Digest>>) -> Self {
+        Self(
+            map.iter()
+                .map(|(&cluster, &parent)| (cluster, parent))
+                .collect(),
+        )
+    }
+}
+
 /// The payload of a block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockBody {
@@ -31,8 +101,8 @@ pub enum BlockBody {
 
 /// A block of the DAG ledger.
 ///
-/// `parents` maps every involved cluster to the digest of the previous block
-/// of that cluster; for an intra-shard block this map has a single entry.
+/// `parents` holds, for every involved cluster, the digest of the previous
+/// block of that cluster; an intra-shard block has a single parent.
 /// The block digest commits to all parents and to the batch's Merkle root
 /// (which [`verify_integrity`](Block::verify_integrity) re-derives from the
 /// transactions instead of trusting the cache), so both the chaining and the
@@ -41,10 +111,11 @@ pub enum BlockBody {
 /// records that the holder made that check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
-    /// Parent digests, one per involved cluster, keyed by cluster id.
-    /// Shared (`Arc`): a cross-shard commit fan-out, the commit message and
-    /// every replica's appended block all reference one map allocation.
-    pub parents: Arc<BTreeMap<ClusterId, Digest>>,
+    /// Parent digests, one per involved cluster, in cluster order. Each
+    /// block builder allocates its own small slice (intra-shard blocks are
+    /// built per replica); clones of one block — a cross-shard commit's
+    /// fan-out and the blocks appended from it — share it.
+    pub parents: Parents,
     /// The block body (genesis or a transaction batch).
     pub body: BlockBody,
     /// The digest of this block (computed over parents and body).
@@ -54,7 +125,7 @@ pub struct Block {
 impl Block {
     /// The genesis block λ shared by every cluster.
     pub fn genesis() -> Self {
-        let parents = Arc::new(BTreeMap::new());
+        let parents = Parents::default();
         let digest = Self::compute_digest(&parents, &BlockBody::Genesis);
         Self {
             parents,
@@ -71,10 +142,7 @@ impl Block {
     /// layer may legitimately involve a superset (e.g. a read-only shard);
     /// the audit layer verifies the correspondence that matters — that each
     /// *view* chains correctly.
-    pub fn batch(
-        batch: impl Into<Batch>,
-        parents: impl Into<Arc<BTreeMap<ClusterId, Digest>>>,
-    ) -> Self {
+    pub fn batch(batch: impl Into<Batch>, parents: impl Into<Parents>) -> Self {
         let parents = parents.into();
         let body = BlockBody::Batch(batch.into());
         let digest = Self::compute_digest(&parents, &body);
@@ -87,10 +155,7 @@ impl Block {
 
     /// Convenience: a block carrying a single-transaction batch (the paper's
     /// one-transaction block).
-    pub fn transaction(
-        tx: impl Into<Arc<Transaction>>,
-        parents: impl Into<Arc<BTreeMap<ClusterId, Digest>>>,
-    ) -> Self {
+    pub fn transaction(tx: impl Into<Arc<Transaction>>, parents: impl Into<Parents>) -> Self {
         Self::batch(Batch::single(tx.into()), parents)
     }
 
@@ -127,9 +192,9 @@ impl Block {
         matches!(self.body, BlockBody::Genesis)
     }
 
-    /// The clusters this block is chained into (the key set of `parents`).
+    /// The clusters this block is chained into (those of `parents`).
     pub fn involved_clusters(&self) -> Vec<ClusterId> {
-        self.parents.keys().copied().collect()
+        self.parents.clusters().collect()
     }
 
     /// Whether the block spans more than one cluster.
@@ -139,7 +204,7 @@ impl Block {
 
     /// The parent digest recorded for `cluster`, if the block involves it.
     pub fn parent_for(&self, cluster: ClusterId) -> Option<Digest> {
-        self.parents.get(&cluster).copied()
+        self.parents.get(cluster)
     }
 
     /// Recomputes the digest from the current contents — re-deriving the
@@ -155,12 +220,12 @@ impl Block {
         Self::compute_digest(&self.parents, &self.body) == self.digest
     }
 
-    fn compute_digest(parents: &BTreeMap<ClusterId, Digest>, body: &BlockBody) -> Digest {
+    fn compute_digest(parents: &Parents, body: &BlockBody) -> Digest {
         // Every field streams straight into the hasher: a digest is computed
         // for every block built, appended and audited, so it allocates nothing.
         let mut h = Sha256::new();
         h.update(b"sharper-block");
-        for (cluster, parent) in parents {
+        for (cluster, parent) in parents.iter() {
             h.update(&cluster.0.to_le_bytes());
             h.update(parent.as_bytes());
         }
@@ -205,10 +270,7 @@ pub struct VerifiedBlock(Block);
 impl VerifiedBlock {
     /// The block carrying `batch` right after `parents`, exactly as
     /// [`Block::batch`] builds it.
-    pub fn chain(
-        batch: VerifiedBatch,
-        parents: impl Into<Arc<BTreeMap<ClusterId, Digest>>>,
-    ) -> Self {
+    pub fn chain(batch: VerifiedBatch, parents: impl Into<Parents>) -> Self {
         Self(Block::batch(batch.into_batch(), parents))
     }
 
@@ -337,6 +399,43 @@ mod tests {
     }
 
     #[test]
+    fn a_map_a_shared_map_and_unsorted_pairs_build_the_same_block() {
+        let g = Block::genesis();
+        let map = BTreeMap::from([(ClusterId(0), g.digest()), (ClusterId(2), Digest::ZERO)]);
+        let batch = Batch::new(vec![Arc::new(tx(0)), Arc::new(tx(1))]);
+        let from_map = Block::batch(batch.clone(), map.clone());
+        let from_shared = Block::batch(batch.clone(), Arc::new(map));
+        let unsorted = Parents::new([(ClusterId(2), Digest::ZERO), (ClusterId(0), g.digest())]);
+        let from_pairs = Block::batch(batch, unsorted.unwrap());
+        assert_eq!(from_map.digest(), from_shared.digest());
+        assert_eq!(from_map.digest(), from_pairs.digest());
+        assert_eq!(from_map, from_pairs);
+        assert_eq!(
+            from_pairs.parents.clusters().collect::<Vec<_>>(),
+            [ClusterId(0), ClusterId(2)]
+        );
+        assert_eq!(from_pairs.parent_for(ClusterId(2)), Some(Digest::ZERO));
+        assert_eq!(from_pairs.parent_for(ClusterId(1)), None);
+    }
+
+    #[test]
+    fn a_duplicate_cluster_cannot_be_represented() {
+        let g = Block::genesis().digest();
+        assert!(Parents::new([(ClusterId(1), g), (ClusterId(1), Digest::ZERO)]).is_none());
+        // Not even with the same digest twice, nor apart in the input.
+        assert!(Parents::new([(ClusterId(1), g), (ClusterId(0), g), (ClusterId(1), g)]).is_none());
+        assert_eq!(
+            Parents::new([(ClusterId(3), g)]),
+            Some(Parents::single(ClusterId(3), g))
+        );
+        // An intra-shard block's parent is one allocation of at most 64
+        // bytes: two reference counts and one (cluster, digest) pair.
+        assert!(
+            2 * std::mem::size_of::<usize>() + std::mem::size_of::<(ClusterId, Digest)>() <= 64
+        );
+    }
+
+    #[test]
     fn digest_commits_to_the_whole_batch() {
         let g = Block::genesis();
         let two = Block::batch(
@@ -399,7 +498,7 @@ mod tests {
         swapped_body.body = BlockBody::Batch(forged_batch);
         assert!(VerifiedBlock::check(swapped_body).is_none());
         let mut moved = real.clone();
-        moved.parents = Arc::new(single_parent(0, Digest::ZERO));
+        moved.parents = single_parent(0, Digest::ZERO).into();
         assert!(VerifiedBlock::check(moved).is_none());
 
         assert_eq!(*VerifiedBlock::check(real.clone()).unwrap(), real);

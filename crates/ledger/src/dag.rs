@@ -84,8 +84,8 @@ impl<'a> DagLedger<'a> {
     pub fn edges(&self) -> Vec<(Digest, Digest)> {
         let mut out = Vec::new();
         for block in self.blocks.values() {
-            for parent in block.parents.values() {
-                out.push((block.digest(), *parent));
+            for parent in block.parents.digests() {
+                out.push((block.digest(), parent));
             }
         }
         out
@@ -113,8 +113,8 @@ impl<'a> DagLedger<'a> {
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); number.len()];
         // (A map that is not modified iterates in the same order every time.)
         for (child, block) in self.blocks.values().enumerate() {
-            for parent in block.parents.values() {
-                if let Some(&parent) = number.get(parent) {
+            for parent in block.parents.digests() {
+                if let Some(&parent) = number.get(&parent) {
                     indegree[child] += 1;
                     children[parent].push(child);
                 }
@@ -152,27 +152,22 @@ impl<'a> DagLedger<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Parents;
     use crate::view::LedgerView;
     use sharper_common::{AccountId, ClientId};
     use sharper_state::Transaction;
-    use std::collections::BTreeMap;
 
     fn tx(client: u64, seq: u64) -> Transaction {
         Transaction::transfer(ClientId(client), seq, AccountId(1), AccountId(2), 1)
     }
 
     fn intra(view: &LedgerView, t: Transaction) -> Block {
-        let mut parents = BTreeMap::new();
-        parents.insert(view.cluster(), view.head());
-        Block::transaction(t, parents)
+        Block::transaction(t, Parents::single(view.cluster(), view.head()))
     }
 
     fn cross(views: &[&LedgerView], t: Transaction) -> Block {
-        let mut parents = BTreeMap::new();
-        for v in views {
-            parents.insert(v.cluster(), v.head());
-        }
-        Block::transaction(t, parents)
+        let parents = Parents::new(views.iter().map(|v| (v.cluster(), v.head())));
+        Block::transaction(t, parents.expect("distinct clusters"))
     }
 
     /// Builds the ledger from the paper's Figure 2 in miniature: two clusters
@@ -242,11 +237,7 @@ mod tests {
 
         let mut dag = DagLedger::union(&[&v]);
         // Corrupt the stored copy of b1 to point at b2, closing a cycle.
-        let forged = {
-            let mut parents = BTreeMap::new();
-            parents.insert(ClusterId(0), b2.digest());
-            Block::transaction(tx(1, 0), parents)
-        };
+        let forged = Block::transaction(tx(1, 0), Parents::single(ClusterId(0), b2.digest()));
         dag.blocks.insert(b1.digest(), &forged);
         assert!(!dag.is_acyclic());
     }

@@ -30,6 +30,6 @@ pub mod view;
 
 pub use audit::{audit_replica_views, audit_views, check_replica_agreement, AuditReport};
 pub use batch::{Batch, VerifiedBatch};
-pub use block::{Block, BlockBody, VerifiedBlock};
+pub use block::{Block, BlockBody, Parents, VerifiedBlock};
 pub use dag::DagLedger;
 pub use view::{Checkpoint, LedgerView};

@@ -245,8 +245,10 @@ impl<M> Context<M> {
         self.broadcast(recipients.into_iter().collect(), msg);
     }
 
-    /// Arms a timer that fires after `delay`; `tag` is an actor-chosen label
-    /// returned with the expiration so the actor can tell its timers apart.
+    /// Arms a timer that fires `delay` after this handler's charged work
+    /// ends; `tag` is an actor-chosen label returned with the expiration so
+    /// the actor can tell its timers apart. The simulator queues it when the
+    /// handler returns.
     pub fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId {
         let id = TimerId(self.next_timer);
         self.next_timer += 1;
@@ -254,8 +256,11 @@ impl<M> Context<M> {
         id
     }
 
-    /// Cancels a previously armed timer. Cancelling an already-fired or
-    /// unknown timer is a no-op.
+    /// Cancels a previously armed timer. When the handler returns, the
+    /// simulator removes the timer from its queue at once — also one armed
+    /// by this same handler, and one that already came due and waits in the
+    /// actor's defer queue — so a cancelled timer never fires and holds no
+    /// memory. Cancelling an already-fired or unknown timer is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.cancelled_timers.push(id);
     }

@@ -16,11 +16,25 @@
 //! cluster; clients ride on their home cluster's lane) and can execute the
 //! lanes on worker threads as a conservative parallel discrete-event
 //! simulation. Each lane owns a hierarchical timing wheel ([`crate::wheel`])
-//! and advances through *safe-time windows*: a lane may process every event
-//! strictly before `min(other lanes' earliest-output-time)`, where a lane's
-//! earliest output time is its own event horizon plus the **lookahead** —
+//! for its messages and a timer set (below), and advances through *safe-time
+//! windows*: a lane may process every event strictly before `min(other
+//! lanes' earliest-output-time)`, where a lane's earliest output time is
+//! its own event horizon plus the **lookahead** —
 //! the minimum base latency of any cross-lane link. Cross-lane messages
 //! travel through per-lane inboxes; no barrier is ever taken.
+//!
+//! ## Timers
+//!
+//! A lane keeps its live timers apart from the wheel, in an ordered set keyed
+//! by the same `(at, key)` as every other event, and each actor remembers
+//! where its own timers wait. Cancellation is eager: when a handler returns,
+//! every timer it cancelled leaves the set at once — or leaves the actor's
+//! defer queue, if it already came due while the actor was busy — including
+//! a timer armed by that same handler. A cancelled timer therefore costs
+//! nothing after its cancellation: it is never popped, parked or counted,
+//! and the queue holds only timers that will fire. (Protocols cancel and
+//! re-arm a timer per request or per commit, seconds ahead; left in the
+//! queue, the dead ones would outnumber the live events.)
 //!
 //! ## Determinism guarantee
 //!
@@ -45,7 +59,7 @@ use rand_chacha::ChaCha8Rng;
 use sharper_common::{
     ClusterId, Duration, LatencyModel, LinkKind, SimTime, ThreadMode, TraceEvent,
 };
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
@@ -92,6 +106,66 @@ struct Routed<M> {
     at: SimTime,
     key: EventKey,
     kind: EventKind<M>,
+}
+
+/// A lane's pending events: messages and wakes in a timing wheel, live
+/// timers in an ordered set a cancellation can remove from. Both hold the
+/// same `(at, key)` order, and the queue pops the earlier of their heads.
+struct EventQueue<M> {
+    wheel: EventWheel<EventKind<M>>,
+    /// Armed timers by `(at, key)`: owner, id and tag.
+    timers: BTreeMap<(SimTime, EventKey), (ActorId, TimerId, u64)>,
+}
+
+impl<M> EventQueue<M> {
+    fn new() -> Self {
+        Self {
+            wheel: EventWheel::new(),
+            timers: BTreeMap::new(),
+        }
+    }
+
+    /// Number of queued events, live timers included.
+    fn len(&self) -> usize {
+        self.wheel.len() + self.timers.len()
+    }
+
+    /// Queues a message or a wake.
+    fn push(&mut self, at: SimTime, key: EventKey, kind: EventKind<M>) {
+        debug_assert!(!matches!(kind, EventKind::Timer { .. }), "timers are armed");
+        self.wheel.push(at, key, kind);
+    }
+
+    /// The `(at, key)` of the earliest queued event, and whether it is a
+    /// timer.
+    fn head(&mut self) -> Option<(SimTime, EventKey, bool)> {
+        let timer = self
+            .timers
+            .first_key_value()
+            .map(|(&(at, key), _)| (at, key));
+        match (self.wheel.peek(), timer) {
+            (Some(w), Some(t)) if t < w => Some((t.0, t.1, true)),
+            (Some((at, key)), _) => Some((at, key, false)),
+            (None, t) => t.map(|(at, key)| (at, key, true)),
+        }
+    }
+
+    fn peek(&mut self) -> Option<(SimTime, EventKey)> {
+        self.head().map(|(at, key, _)| (at, key))
+    }
+
+    fn peek_at(&mut self) -> Option<SimTime> {
+        self.head().map(|(at, ..)| at)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, EventKey, EventKind<M>)> {
+        let (.., timer) = self.head()?;
+        if !timer {
+            return self.wheel.pop();
+        }
+        let ((at, key), (actor, id, tag)) = self.timers.pop_first()?;
+        Some((at, key, EventKind::Timer { actor, id, tag }))
+    }
 }
 
 /// Statistics about a completed (or partially completed) run.
@@ -220,7 +294,11 @@ struct ActorSlot<M, A> {
     busy_until: SimTime,
     wake_at: Option<SimTime>,
     defer: VecDeque<EventKind<M>>,
-    cancelled: HashSet<TimerId>,
+    /// This actor's live timers — armed, neither fired nor cancelled — each
+    /// with the `(at, key)` it waits under in the lane's timer set. A timer
+    /// that came due while the actor was busy stays listed while it is
+    /// parked in `defer`. Sorted by id, since ids only grow.
+    timers: Vec<(TimerId, SimTime, EventKey)>,
 }
 
 impl<M, A> ActorSlot<M, A> {
@@ -238,7 +316,7 @@ impl<M, A> ActorSlot<M, A> {
             busy_until: SimTime::ZERO,
             wake_at: None,
             defer: VecDeque::new(),
-            cancelled: HashSet::new(),
+            timers: Vec::new(),
         }
     }
 
@@ -249,13 +327,43 @@ impl<M, A> ActorSlot<M, A> {
         self.emit_seq += 1;
         key
     }
+
+    /// Queues timer `id` to fire at `at`.
+    fn arm_timer(&mut self, queue: &mut EventQueue<M>, at: SimTime, id: TimerId, tag: u64) {
+        let key = self.next_key();
+        queue.timers.insert((at, key), (self.id, id, tag));
+        self.timers.push((id, at, key));
+    }
+
+    /// Drops `id` from the live timers, returning where it was queued.
+    fn forget_timer(&mut self, id: TimerId) -> Option<(SimTime, EventKey)> {
+        let i = self.timers.binary_search_by_key(&id, |&(t, ..)| t).ok()?;
+        let (_, at, key) = self.timers.remove(i);
+        Some((at, key))
+    }
+
+    /// Removes live timer `id` from the lane's timer set, or from the defer
+    /// queue if it is parked there. Any other id is ignored.
+    fn cancel_timer(&mut self, queue: &mut EventQueue<M>, id: TimerId) {
+        let Some((at, key)) = self.forget_timer(id) else {
+            return;
+        };
+        if queue.timers.remove(&(at, key)).is_none() {
+            let parked = self
+                .defer
+                .iter()
+                .position(|e| matches!(e, EventKind::Timer { id: t, .. } if *t == id))
+                .expect("a live timer is queued or parked");
+            self.defer.remove(parked);
+        }
+    }
 }
 
 /// The event plumbing of one lane, split from the actors so handler
 /// dispatch can borrow an actor and the queues simultaneously.
 struct LaneIo<M> {
     index: usize,
-    queue: EventWheel<EventKind<M>>,
+    queue: EventQueue<M>,
     /// Events produced for other lanes, flushed by the driver.
     outbound: Vec<(usize, Routed<M>)>,
     counters: SimulationReport,
@@ -372,7 +480,7 @@ impl<M: Clone, A: Actor<M>> Lane<M, A> {
             actors: Vec::new(),
             io: LaneIo {
                 index,
-                queue: EventWheel::new(),
+                queue: EventQueue::new(),
                 outbound: Vec::new(),
                 counters: SimulationReport::default(),
                 trace: Vec::new(),
@@ -396,8 +504,14 @@ impl<M: Clone, A: Actor<M>> Lane<M, A> {
         // A crashed receiver loses its queue: events addressed to it are
         // dropped at arrival, never parked for replay after a recovery.
         if shared.faults.is_crashed(target, self.now) {
-            if matches!(kind, EventKind::Deliver { .. }) {
-                self.io.counters.dropped += 1;
+            match kind {
+                EventKind::Deliver { .. } => self.io.counters.dropped += 1,
+                EventKind::Timer { id, .. } => {
+                    if let Some(index) = index {
+                        self.actors[index].forget_timer(id);
+                    }
+                }
+                EventKind::Wake { .. } => unreachable!("handled above"),
             }
             return;
         }
@@ -439,9 +553,7 @@ impl<M: Clone, A: Actor<M>> Lane<M, A> {
                 self.invoke(shared, index, Invocation::Message { from, msg });
             }
             EventKind::Timer { actor, id, tag } => {
-                if self.actors[index].cancelled.remove(&id) {
-                    return;
-                }
+                self.actors[index].forget_timer(id);
                 if shared.faults.is_crashed(actor, self.now) {
                     return;
                 }
@@ -521,22 +633,13 @@ impl<M: Clone, A: Actor<M>> Lane<M, A> {
             }
         }
 
-        for id in ctx.cancelled_timers.drain(..) {
-            slot.cancelled.insert(id);
+        // Arm first, then cancel: a timer set and cancelled by this handler
+        // leaves the queue like any other.
+        for (id, delay, tag) in ctx.new_timers.drain(..) {
+            slot.arm_timer(&mut self.io.queue, finish + delay, id, tag);
         }
-        let new_timers = std::mem::take(&mut ctx.new_timers);
-        for (id, delay, tag) in new_timers {
-            let key = slot.next_key();
-            self.io.route(
-                shared,
-                finish + delay,
-                key,
-                EventKind::Timer {
-                    actor: target,
-                    id,
-                    tag,
-                },
-            );
+        for id in ctx.cancelled_timers.drain(..) {
+            slot.cancel_timer(&mut self.io.queue, id);
         }
         for out in std::mem::take(&mut ctx.outbox) {
             match out {
@@ -709,7 +812,10 @@ impl<M: Clone + Send, A: Actor<M> + Send> Simulation<M, A> {
         report
     }
 
-    /// Number of events currently queued.
+    /// Number of events currently queued: messages and wakes in flight plus
+    /// live timers. A cancelled timer is not counted — it left the queue
+    /// when its handler returned — and neither is an event parked in a busy
+    /// actor's defer queue.
     pub fn pending_events(&self) -> usize {
         self.lanes.iter().map(|lane| lane.io.queue.len()).sum()
     }
@@ -1413,8 +1519,215 @@ mod tests {
             id: ActorId::Client(ClientId(1)),
             fired: 0,
         });
+        s.start();
+        // The timer set and cancelled by `on_start` left the queue when the
+        // handler returned.
+        assert_eq!(s.pending_events(), 1);
         s.run_until(SimTime::from_secs(1));
         assert_eq!(s.actor(ClientId(1)).unwrap().fired, 1);
+        assert_eq!(s.pending_events(), 0);
+    }
+
+    /// A test actor: `on_start` arms one timer per `(delay, tag)` in `arm`;
+    /// the handlers log every timer tag and message that reach it and carry
+    /// out `on_message` / `on_timer`.
+    struct Timed {
+        id: ActorId,
+        arm: Vec<(Duration, u64)>,
+        armed: Vec<TimerId>,
+        fired: Vec<u64>,
+        received: Vec<u64>,
+        on_message: fn(&mut Timed, u64, &mut Context<u64>),
+        on_timer: fn(&mut Timed, TimerId, &mut Context<u64>),
+    }
+
+    impl Timed {
+        fn new(node: u32, arm: Vec<(Duration, u64)>) -> Self {
+            Self {
+                id: ActorId::Node(NodeId(node)),
+                arm,
+                armed: Vec::new(),
+                fired: Vec::new(),
+                received: Vec::new(),
+                on_message: |_, _, _| {},
+                on_timer: |_, _, _| {},
+            }
+        }
+    }
+
+    impl Actor<u64> for Timed {
+        fn id(&self) -> ActorId {
+            self.id
+        }
+
+        fn on_start(&mut self, ctx: &mut Context<u64>) {
+            for &(delay, tag) in &self.arm {
+                self.armed.push(ctx.set_timer(delay, tag));
+            }
+        }
+
+        fn on_message(&mut self, _from: ActorId, msg: u64, ctx: &mut Context<u64>) {
+            self.received.push(msg);
+            (self.on_message)(self, msg, ctx);
+        }
+
+        fn on_timer(&mut self, timer: TimerId, tag: u64, ctx: &mut Context<u64>) {
+            self.fired.push(tag);
+            (self.on_timer)(self, timer, ctx);
+        }
+    }
+
+    fn timed_sim(faults: FaultPlan, actors: Vec<Timed>) -> Simulation<u64, Timed> {
+        let cfg = SystemConfig::uniform(FailureModel::Crash, 1, 1).unwrap();
+        let mut s = Simulation::new(Topology::from_config(&cfg), LatencyModel::zero(), faults, 9);
+        for actor in actors {
+            s.add_actor(actor);
+        }
+        s
+    }
+
+    /// The live timers the engine tracks for `node`.
+    fn live_timers(s: &Simulation<u64, Timed>, node: u32) -> usize {
+        let slot = s
+            .shared
+            .as_ref()
+            .unwrap()
+            .directory
+            .get(NodeId(node).into());
+        let slot = slot.unwrap();
+        s.lanes[slot.lane].actors[slot.index].timers.len()
+    }
+
+    #[test]
+    fn a_timer_cancelled_while_parked_in_the_defer_queue_never_fires() {
+        // n0 is busy for 5 ms with the first message. The second message and
+        // then its 1 ms timer come due meanwhile and park in its defer
+        // queue; handling the second message cancels the parked timer.
+        let mut actor = Timed::new(0, vec![(Duration::from_millis(1), 1)]);
+        actor.on_message = |me, msg, ctx| match msg {
+            0 => ctx.charge(Duration::from_millis(5)),
+            _ => ctx.cancel_timer(me.armed[0]),
+        };
+        let mut sender = Timed::new(1, vec![(Duration::ZERO, 0)]);
+        sender.on_timer = |_, _, ctx| {
+            ctx.send(NodeId(0), 0);
+            ctx.send(NodeId(0), 1);
+        };
+        let mut s = timed_sim(FaultPlan::none(), vec![actor, sender]);
+        s.run_until(SimTime::from_millis(2));
+        assert_eq!(s.pending_events(), 1, "the wake that drains n0");
+        assert_eq!(live_timers(&s, 0), 1, "parked, still live");
+        let report = s.run_until(SimTime::from_secs(1));
+        let actor = s.actor(NodeId(0)).unwrap();
+        assert_eq!(actor.received, [0, 1]);
+        assert!(actor.fired.is_empty(), "the cancelled timer fired");
+        assert_eq!(report.deferred, 2, "message 1 and the timer were parked");
+        assert_eq!(report.timers_fired, 1, "only the sender's");
+        assert_eq!(s.pending_events(), 0);
+        assert_eq!(live_timers(&s, 0), 0);
+    }
+
+    #[test]
+    fn cancelling_an_already_fired_or_unknown_timer_is_a_no_op() {
+        // Tag 1 fires first; its handler cancels itself (already fired), an
+        // id never issued, and tag 1 again. Tag 2 must still fire, and the
+        // id it was given must be the only live timer in between.
+        let mut actor = Timed::new(
+            0,
+            vec![(Duration::from_millis(1), 1), (Duration::from_millis(2), 2)],
+        );
+        actor.on_timer = |me, timer, ctx| {
+            if timer == me.armed[0] {
+                ctx.cancel_timer(timer);
+                ctx.cancel_timer(TimerId(999));
+                ctx.cancel_timer(me.armed[0]);
+            }
+        };
+        let mut s = timed_sim(FaultPlan::none(), vec![actor]);
+        s.run_until(SimTime::from_micros(1_500));
+        assert_eq!(s.actor(NodeId(0)).unwrap().fired, [1]);
+        assert_eq!(s.pending_events(), 1);
+        assert_eq!(live_timers(&s, 0), 1);
+        s.run_until(SimTime::from_secs(1));
+        assert_eq!(s.actor(NodeId(0)).unwrap().fired, [1, 2]);
+        assert_eq!(s.pending_events(), 0);
+    }
+
+    #[test]
+    fn a_crashed_actors_timers_leave_the_queue() {
+        let actor = Timed::new(
+            0,
+            vec![
+                (Duration::from_millis(10), 1),
+                (Duration::from_millis(20), 2),
+                (Duration::from_secs(2), 3),
+            ],
+        );
+        let faults = FaultPlan::none().with_crash(NodeId(0), SimTime::from_millis(5));
+        let mut s = timed_sim(faults, vec![actor]);
+        s.run_until(SimTime::from_millis(100));
+        assert_eq!(s.pending_events(), 1, "only the 2 s timer is still due");
+        assert_eq!(live_timers(&s, 0), 1);
+        let report = s.run_until(SimTime::from_secs(3));
+        assert!(s.actor(NodeId(0)).unwrap().fired.is_empty());
+        assert_eq!(report.timers_fired, 0);
+        assert_eq!(s.pending_events(), 0);
+        assert_eq!(live_timers(&s, 0), 0);
+    }
+
+    #[test]
+    fn re_arming_a_cancelled_timer_per_message_keeps_the_queue_bounded() {
+        // n0 and n1 bounce one message 200 000 times (100 000 deliveries
+        // each). Every delivery cancels the receiver's 2 s timer and arms a
+        // fresh one, the way clients re-arm retries and replicas their
+        // view-change timer. Live: two timers and one message, ever.
+        const BOUNCES: u64 = 200_000;
+        let bounce = |me: &mut Timed, msg: u64, ctx: &mut Context<u64>| {
+            if let Some(previous) = me.armed.pop() {
+                ctx.cancel_timer(previous);
+            }
+            me.armed.push(ctx.set_timer(Duration::from_secs(2), msg));
+            if msg < BOUNCES {
+                let peer = if me.id == ActorId::Node(NodeId(0)) {
+                    1
+                } else {
+                    0
+                };
+                ctx.send(NodeId(peer), msg + 1);
+            }
+        };
+        let mut a = Timed::new(0, vec![(Duration::ZERO, 0)]);
+        a.on_timer = |_, _, ctx| {
+            if ctx.now() == SimTime::ZERO {
+                ctx.send(NodeId(1), 1);
+            }
+        };
+        a.on_message = bounce;
+        let mut b = Timed::new(1, Vec::new());
+        b.on_message = bounce;
+        let mut s = Simulation::new(
+            two_node_topology(),
+            LatencyModel::default(),
+            FaultPlan::none(),
+            3,
+        );
+        s.add_actor(a);
+        s.add_actor(b);
+        let mut peak = 0;
+        loop {
+            let before = s.report();
+            let after = s.run_to_quiescence(1_000);
+            peak = peak.max(s.pending_events());
+            if after == before {
+                break;
+            }
+        }
+        assert_eq!(s.report().delivered, BOUNCES as usize);
+        assert!(
+            peak <= 3,
+            "{peak} events queued for 2 live timers + 1 message"
+        );
+        assert_eq!(s.pending_events(), 0);
     }
 
     #[test]

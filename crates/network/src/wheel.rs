@@ -1,12 +1,13 @@
-//! A hierarchical timing wheel: the per-lane event queue of the simulator.
+//! A hierarchical timing wheel: the per-lane message queue of the simulator.
 //!
 //! The engine schedules millions of events whose timestamps cluster tightly
 //! around the current simulated time (message latencies are microseconds to
-//! milliseconds) with a thin tail of far-future timers (view-change and
-//! client retransmission timeouts, seconds away). A binary heap pays
-//! O(log n) per event on that workload; a timing wheel pays amortised O(1)
-//! for the dense near-future band and parks the tail in a heap until its
-//! window comes around.
+//! milliseconds). A binary heap pays O(log n) per event on that workload; a
+//! timing wheel pays amortised O(1) for the dense near-future band and parks
+//! a far-future tail in a heap until its window comes around. The wheel
+//! cannot remove an entry before it is due, so actor timers — mostly
+//! cancelled long before they would fire — wait in the lane's own timer set
+//! instead (see [`crate::sim`]).
 //!
 //! The wheel has three levels of 256 slots each, with slot granularities of
 //! 2⁴ µs (≈16 µs), 2¹² µs (≈4 ms) and 2²⁰ µs (≈1 s); events beyond the
