@@ -1,100 +1,186 @@
 //! Intra-shard consensus (§3.1): Paxos for crash-only clusters, PBFT for
 //! Byzantine clusters.
 //!
-//! Both protocols are driven by the cluster's primary and order one
-//! Merkle-committed [`Batch`] per round, chaining each proposal to the hash
-//! of the cluster's previous block (`H(t)` plays the role of the sequence
-//! number). The intra-shard protocol is pluggable in SharPer; these two are
-//! the ones evaluated in the paper. With `max_batch_size = 1` every batch
-//! holds a single transaction and the rounds are bit-for-bit the paper's.
+//! Both are driven by the cluster's primary and order one Merkle-committed
+//! [`Batch`] per round, chaining each proposal to the hash of the cluster's
+//! previous block (`H(t)` plays the role of the sequence number). With
+//! `max_batch_size = 1` the rounds are bit-for-bit the paper's.
 
-use super::{IntraRound, Replica};
+use super::Replica;
 use crate::messages::{proposal_sign_bytes, vote_sign_bytes, Ballot, Msg};
-use sharper_common::{FailureModel, TraceKind};
+use sharper_common::{ClusterId, FailureModel, NodeId, TraceKind};
 use sharper_crypto::{Digest, Signature};
 use sharper_ledger::{Batch, Block, Parents, VerifiedBatch, VerifiedBlock};
 use sharper_net::{ActorId, Context};
 use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// State of one in-flight intra-shard consensus round.
+///
+/// A round holds *witnesses*: this replica derived the batch's Merkle root
+/// itself (sealing it as primary, or checking the proposal), so the commit
+/// appends without hashing the batch a second time. What a round sends is
+/// the plain [`Batch`]; every receiver makes its own check.
+#[derive(Debug, Clone)]
+pub(super) struct IntraRound {
+    /// The batch under agreement (sharing its transactions with the message
+    /// plane), kept beside the block so that a round moved to another chain
+    /// position re-chains it in O(1). Empty for a PBFT round whose `prepare`
+    /// overtook its `pre-prepare`.
+    pub(super) batch: VerifiedBatch,
+    /// The block under agreement: the batch chained at the proposed
+    /// position, built when the round is created or re-positioned and
+    /// reused by the tail advance and the commit.
+    pub(super) block: VerifiedBlock,
+    /// The ballot the round was last proposed under (crash: the Paxos
+    /// ballot; Byzantine: `(view, primary)` of the proposing view).
+    pub(super) ballot: Ballot,
+    /// Paxos `accepted` votes / PBFT `prepare` votes (node ids).
+    pub(super) prepares: BTreeSet<NodeId>,
+    /// PBFT `commit` votes.
+    pub(super) commits: BTreeSet<NodeId>,
+    /// The verified prepare signatures (Byzantine model), pre-prepare
+    /// included: the raw material of a prepared-certificate.
+    pub(super) prepare_sigs: BTreeMap<NodeId, Signature>,
+    /// Whether this replica already moved to the commit phase.
+    pub(super) sent_commit: bool,
+    /// Whether the block was appended locally.
+    pub(super) committed: bool,
+}
+
+impl IntraRound {
+    fn new(cluster: ClusterId, batch: VerifiedBatch, parent: Digest, ballot: Ballot) -> Self {
+        Self {
+            block: VerifiedBlock::chain(batch.clone(), Parents::single(cluster, parent)),
+            batch,
+            ballot,
+            prepares: BTreeSet::new(),
+            commits: BTreeSet::new(),
+            prepare_sigs: BTreeMap::new(),
+            sent_commit: false,
+            committed: false,
+        }
+    }
+
+    /// The chain position the round proposes to fill.
+    pub(super) fn parent(&self) -> Digest {
+        self.block
+            .parents
+            .digests()
+            .next()
+            .expect("an intra-shard block has one parent")
+    }
+
+    /// The round's batch chained right after `parent`, without deriving its
+    /// root again.
+    fn block_at(&self, cluster: ClusterId, parent: Digest) -> VerifiedBlock {
+        if self.parent() == parent {
+            self.block.clone()
+        } else {
+            VerifiedBlock::chain(self.batch.clone(), Parents::single(cluster, parent))
+        }
+    }
+
+    /// Moves the round to the position after `parent` (a replay under a
+    /// newer ballot or view may re-assign it).
+    fn reposition(&mut self, cluster: ClusterId, parent: Digest) {
+        self.block = self.block_at(cluster, parent);
+    }
+
+    /// Gives a placeholder round (a PBFT `prepare` that overtook its
+    /// `pre-prepare`) the payload the pre-prepare delivered.
+    fn fill(&mut self, cluster: ClusterId, batch: VerifiedBatch, parent: Digest) {
+        self.block = VerifiedBlock::chain(batch.clone(), Parents::single(cluster, parent));
+        self.batch = batch;
+    }
+}
 
 impl Replica {
-    /// Starts ordering an intra-shard batch. Called on the primary.
+    /// Starts ordering an intra-shard batch at the ordering tail. Called on
+    /// the primary.
     pub(super) fn start_intra(&mut self, batch: VerifiedBatch, ctx: &mut Context<Msg>) {
-        match self.model() {
-            FailureModel::Crash => self.start_paxos(batch, ctx),
-            FailureModel::Byzantine => self.start_pbft(batch, ctx),
+        if self.intra.contains_key(&batch.digest()) || self.log.all_committed(batch.tx_ids()) {
+            return;
+        }
+        let parent = self.log.tail();
+        self.propose_round(batch, parent, ctx);
+    }
+
+    /// Proposes `batch` at an explicit chain position (used by the
+    /// view-change state transfer to replay rounds of the previous view at
+    /// their original positions). Any existing round state for the digest is
+    /// replaced: votes gathered under the old view are void in the new one.
+    pub(super) fn propose_at(
+        &mut self,
+        batch: VerifiedBatch,
+        parent: Digest,
+        ctx: &mut Context<Msg>,
+    ) {
+        self.intra.remove(&batch.digest());
+        self.propose_round(batch, parent, ctx);
+    }
+
+    /// Opens a round for `batch` after `parent` under this primary's view
+    /// and multicasts the proposal: a Paxos `accept` (Figure 3(a)) or a
+    /// signed PBFT `pre-prepare` (Figure 3(b)). The primary's own vote
+    /// counts towards the quorum, and the tail moves past the proposal so
+    /// the next one chains after it even before it commits.
+    fn propose_round(&mut self, batch: VerifiedBatch, parent: Digest, ctx: &mut Context<Msg>) {
+        let d = batch.digest();
+        let ballot = Ballot::new(self.view, self.node);
+        let mut round = IntraRound::new(self.cluster, batch.clone(), parent, ballot);
+        round.prepares.insert(self.node);
+        let sig = match self.model() {
+            // Proposing is implicitly a self-promise, so a demoted primary
+            // cannot later accept older ballots it already proposed above.
+            FailureModel::Crash => {
+                self.promised = self.promised.max(ballot);
+                None
+            }
+            // The pre-prepare stands in for the primary's prepare vote; its
+            // signature is kept so a later view change can prove the round
+            // prepared.
+            FailureModel::Byzantine => {
+                let sig = self
+                    .signer
+                    .sign(&proposal_sign_bytes(self.view, &parent, &d));
+                round.prepare_sigs.insert(self.node, sig);
+                Some(sig)
+            }
+        };
+        self.log.advance(&round.block);
+        self.intra.insert(d, round);
+        let batch = batch.into_batch();
+        let proposal = match sig {
+            None => Msg::PaxosAccept {
+                ballot,
+                parent,
+                batch,
+            },
+            Some(sig) => {
+                self.charge_message(ctx, 0, 1);
+                Msg::PrePrepare {
+                    view: self.view,
+                    parent,
+                    batch,
+                    sig,
+                }
+            }
+        };
+        ctx.trace(|| TraceKind::Propose {
+            batch: d.short_u64(),
+            view: ballot.view,
+        });
+        ctx.multicast(self.cluster_peers(), proposal);
+        if sig.is_none() {
+            // A single-node cluster (f = 0) commits immediately.
+            self.try_commit_paxos(d, ctx);
         }
     }
 
     // ------------------------------------------------------------------
     // Paxos (crash-only clusters), Figure 3(a)
     // ------------------------------------------------------------------
-
-    fn start_paxos(&mut self, batch: VerifiedBatch, ctx: &mut Context<Msg>) {
-        let d = batch.digest();
-        if self.intra.contains_key(&d) || batch.tx_ids().all(|id| self.committed_txs.contains(&id))
-        {
-            return;
-        }
-        let parent = self.ordering_tail();
-        self.propose_paxos_round(batch, parent, d, ctx);
-    }
-
-    /// Proposes `batch` at an explicit chain position (used by the
-    /// view-change state transfer to replay accepted rounds of the previous
-    /// view at their original positions). Any existing round state for the
-    /// digest is replaced: votes gathered under the old view are void in the
-    /// new one. The batch comes out of a view-change vote, i.e. off the
-    /// wire, so this is where its root is derived.
-    pub(super) fn propose_paxos_at(
-        &mut self,
-        batch: Batch,
-        parent: Digest,
-        ctx: &mut Context<Msg>,
-    ) {
-        let d = batch.digest();
-        if batch.tx_ids().all(|id| self.committed_txs.contains(&id)) {
-            return;
-        }
-        let Some(batch) = VerifiedBatch::check(batch) else {
-            return;
-        };
-        self.intra.remove(&d);
-        self.propose_paxos_round(batch, parent, d, ctx);
-    }
-
-    fn propose_paxos_round(
-        &mut self,
-        batch: VerifiedBatch,
-        parent: Digest,
-        d: Digest,
-        ctx: &mut Context<Msg>,
-    ) {
-        // Proposals carry this primary's ballot; proposing is implicitly a
-        // self-promise, so a demoted primary cannot later accept older
-        // ballots it already proposed above.
-        let ballot = Ballot::new(self.view, self.node);
-        self.promised = self.promised.max(ballot);
-        let mut round = IntraRound::new(self.cluster, batch.clone(), parent, ballot);
-        // The primary's own acceptance counts towards the majority.
-        round.prepares.insert(self.node);
-        // Chain the next proposal after this one even before it commits.
-        self.advance_tail(&round.block);
-        self.intra.insert(d, round);
-        ctx.trace(|| TraceKind::Propose {
-            batch: d.short_u64(),
-            view: ballot.view,
-        });
-        ctx.multicast(
-            self.cluster_peers(),
-            Msg::PaxosAccept {
-                ballot,
-                parent,
-                batch: batch.into_batch(),
-            },
-        );
-        // A single-node cluster (f = 0) commits immediately.
-        self.try_commit_paxos(d, ctx);
-    }
 
     /// Backup handling of the primary's `accept` message (Paxos phase 2a).
     pub(super) fn handle_paxos_accept(
@@ -108,18 +194,15 @@ impl Replica {
         if self.model() != FailureModel::Crash || batch.is_empty() {
             return;
         }
-        // The ballot must belong to the primary its view elects, and the
-        // message must come from that primary.
+        // The ballot must name its view's primary, who must be the sender.
         let Ok(expected) = self.cfg.system.primary(self.cluster, ballot.view) else {
             return;
         };
         if ballot.proposer != expected || from != ActorId::Node(ballot.proposer) {
             return;
         }
-        // Phase-2b acceptance: proposals below the promise are rejected —
-        // the acceptor already helped elect (or accept from) a higher
-        // ballot, and endorsing this one could commit two values at one
-        // chain position.
+        // Phase 2b: proposals below the promise are rejected — endorsing one
+        // could commit two values at one chain position.
         if ballot < self.promised {
             return;
         }
@@ -128,59 +211,35 @@ impl Replica {
         // follow it even if its NewView announcement was lost.
         self.adopt_view(ballot.view, ctx);
         let d = batch.digest();
-        if batch.tx_ids().any(|id| self.committed_txs.contains(&id)) {
+        if self.log.any_committed(batch.tx_ids()) {
             // The proposal may be the new primary's replay of a round this
             // replica already committed (view-change state transfer). If it
-            // names the bit-identical block, endorse it so the new primary
-            // can gather its quorum and the cluster converges on one chain;
-            // anything else overlapping committed transactions is stale and
-            // is dropped.
-            // Only the digest is looked up, so the claimed root is enough:
-            // a forged batch under a committed root endorses that root's
-            // committed block, nothing else.
+            // names the bit-identical block — looked up by digest in the
+            // all-history index, so the claimed root is enough — endorse it
+            // so the cluster converges on one chain; anything else
+            // overlapping committed transactions is stale and dropped.
             let replay = Block::batch(batch, Parents::single(self.cluster, parent));
-            // All-history membership: a truncating ledger no longer holds the
-            // payload, but the digest index still answers exactly.
-            if self.ledger.knows_block(replay.digest()) {
-                ctx.trace(|| TraceKind::Accept {
-                    batch: d.short_u64(),
-                    view: ballot.view,
-                });
-                ctx.send(
-                    from,
-                    Msg::PaxosAccepted {
-                        ballot,
-                        d,
-                        node: self.node,
-                    },
-                );
+            if self.log.ledger().knows_block(replay.digest()) {
+                self.send_accepted(from, ballot, d, ctx);
             }
             return;
         }
-        // Position-taken rejection: if the named parent is a strict ancestor
-        // of this replica's head, or a committed block is already parked
-        // waiting to append right after it, the position after the parent is
-        // filled by a different committed block (often a cross-shard block
-        // the proposer has not appended yet). Endorsing the proposal would
-        // vouch a second block for a committed height — the exact shape of a
-        // fork — so it is dropped; the proposer learns the true head from
-        // the commits still in flight to it and re-proposes there. The
-        // ancestor test uses the all-history digest index, so a replica that
-        // pruned its view still refuses to re-accept a position below its
-        // checkpoint — the incremental-audit watermark is a hard floor for
-        // view-change replays.
-        if parent != self.ledger.head()
-            && (self.ledger.knows_block(parent) || self.deferred.contains_key(&parent))
-        {
+        // Position-taken rejection: if a different decided block already
+        // fills the position after the named parent (often a cross-shard
+        // block the proposer has not appended yet), endorsing the proposal
+        // would vouch a second block for a decided height — the exact shape
+        // of a fork — so it is dropped; the proposer learns the true head
+        // from the commits still in flight to it and re-proposes there. The
+        // test holds below the checkpoint too: the incremental-audit
+        // watermark is a hard floor for view-change replays.
+        if self.log.position_taken(parent) {
             return;
         }
         // Remember the batch (with its ballot) so the view-change path can
-        // transfer it, and start the liveness timer for the in-flight
-        // request. A first sight of the batch is where this replica derives
-        // its root — the one derivation the commit will rely on; a batch
-        // whose transactions do not hash to the root it claims is dropped. A
-        // replay under a higher ballot finds the round, whose own verified
-        // batch already has this root, and updates its ballot and position.
+        // transfer it, and start the liveness timer. A first sight of the
+        // batch derives its root, the one derivation the commit relies on; a
+        // replay under a higher ballot updates the round's ballot and
+        // position.
         let cluster = self.cluster;
         let round = match self.intra.entry(d) {
             Entry::Occupied(slot) => slot.into_mut(),
@@ -201,19 +260,18 @@ impl Replica {
         round.reposition(cluster, parent);
         let block = round.block.clone();
         self.ensure_view_change_timer(ctx);
-        self.advance_tail(&block);
+        self.log.advance(&block);
+        self.send_accepted(from, ballot, d, ctx);
+    }
+
+    /// Endorses the proposal `d` under `ballot` (Paxos phase 2b).
+    fn send_accepted(&self, to: ActorId, ballot: Ballot, d: Digest, ctx: &mut Context<Msg>) {
         ctx.trace(|| TraceKind::Accept {
             batch: d.short_u64(),
             view: ballot.view,
         });
-        ctx.send(
-            from,
-            Msg::PaxosAccepted {
-                ballot,
-                d,
-                node: self.node,
-            },
-        );
+        let node = self.node;
+        ctx.send(to, Msg::PaxosAccepted { ballot, d, node });
     }
 
     /// Primary handling of a backup's `accepted` message.
@@ -221,16 +279,15 @@ impl Replica {
         &mut self,
         ballot: Ballot,
         d: Digest,
-        node: sharper_common::NodeId,
+        node: NodeId,
         ctx: &mut Context<Msg>,
     ) {
         if self.model() != FailureModel::Crash {
             return;
         }
         if let Some(round) = self.intra.get_mut(&d) {
-            // Count the vote only for the ballot the round currently runs
-            // under; acceptances of an older ballot (or a stale replay) do
-            // not stack with the current quorum.
+            // Acceptances of an older ballot do not stack with the current
+            // quorum.
             if round.ballot == ballot {
                 round.prepares.insert(node);
             }
@@ -252,7 +309,7 @@ impl Replica {
         let commit = Msg::PaxosCommit {
             ballot: round.ballot,
             parent: round.parent(),
-            batch: round.batch().clone(),
+            batch: Batch::clone(&round.batch),
         };
         ctx.trace(|| TraceKind::Commit {
             batch: d.short_u64(),
@@ -273,11 +330,10 @@ impl Replica {
         if self.model() != FailureModel::Crash || batch.is_empty() {
             return;
         }
-        // The ballot must name the legitimate primary of its view. Commits
-        // from views this replica already moved past are dropped: the value,
-        // if truly decided, re-arrives through the new view's ballot-checked
-        // replay, while applying the stale copy here could place it at a
-        // chain position the new primary has re-assigned.
+        // The ballot must name its view's primary. Commits from views this
+        // replica moved past are dropped: a decided value re-arrives through
+        // the new view's replay, and the stale copy could land at a position
+        // the new primary has re-assigned.
         if self.cfg.system.primary(self.cluster, ballot.view).ok() != Some(ballot.proposer)
             || ballot.view < self.view
         {
@@ -287,10 +343,8 @@ impl Replica {
         // primary; adopt it (the NewView announcement may have been lost).
         self.adopt_view(ballot.view, ctx);
         let d = batch.digest();
-        // The accepted round already holds this block. If the commit names
-        // another position than the one this replica accepted, the round's
-        // verified batch is re-chained there; only a replica that never saw
-        // the accept has to derive the root of the commit's own batch.
+        // The accepted round's verified batch is chained where the commit
+        // says; only a replica that never saw the accept derives the root.
         let block = match self.intra.get_mut(&d) {
             Some(round) => {
                 round.committed = true;
@@ -308,9 +362,8 @@ impl Replica {
         }
     }
 
-    /// Adopts a higher view evidenced by a valid higher-ballot message. The
-    /// announcement of that view (`NewView`) may have been lost; following
-    /// the ballot keeps this replica useful to the new primary's quorum.
+    /// Adopts a higher view evidenced by a valid higher-ballot message, whose
+    /// `NewView` may have been lost.
     pub(super) fn adopt_view(&mut self, view: u64, ctx: &mut Context<Msg>) {
         if view > self.view {
             let proposer = self
@@ -327,71 +380,6 @@ impl Replica {
     // ------------------------------------------------------------------
     // PBFT (Byzantine clusters), Figure 3(b)
     // ------------------------------------------------------------------
-
-    fn start_pbft(&mut self, batch: VerifiedBatch, ctx: &mut Context<Msg>) {
-        let d = batch.digest();
-        if self.intra.contains_key(&d) || batch.tx_ids().all(|id| self.committed_txs.contains(&id))
-        {
-            return;
-        }
-        let parent = self.ordering_tail();
-        self.propose_pbft_round(batch, parent, d, ctx);
-    }
-
-    /// Proposes `batch` at an explicit chain position (used by the Byzantine
-    /// new-view replay of certified prepared rounds). Existing round state is
-    /// replaced: votes gathered under the old view are void in the new one.
-    pub(super) fn propose_pbft_at(
-        &mut self,
-        batch: VerifiedBatch,
-        parent: Digest,
-        ctx: &mut Context<Msg>,
-    ) {
-        let d = batch.digest();
-        if batch.tx_ids().all(|id| self.committed_txs.contains(&id)) {
-            return;
-        }
-        self.intra.remove(&d);
-        self.propose_pbft_round(batch, parent, d, ctx);
-    }
-
-    fn propose_pbft_round(
-        &mut self,
-        batch: VerifiedBatch,
-        parent: Digest,
-        d: Digest,
-        ctx: &mut Context<Msg>,
-    ) {
-        let sig = self
-            .signer
-            .sign(&proposal_sign_bytes(self.view, &parent, &d));
-        let mut round = IntraRound::new(
-            self.cluster,
-            batch.clone(),
-            parent,
-            Ballot::new(self.view, self.node),
-        );
-        // The primary's pre-prepare stands in for its prepare vote; keep its
-        // signature so a later view change can prove the round prepared.
-        round.prepares.insert(self.node);
-        round.prepare_sigs.insert(self.node, sig);
-        self.advance_tail(&round.block);
-        self.intra.insert(d, round);
-        self.charge_message(ctx, 0, 1);
-        ctx.trace(|| TraceKind::Propose {
-            batch: d.short_u64(),
-            view: self.view,
-        });
-        ctx.multicast(
-            self.cluster_peers(),
-            Msg::PrePrepare {
-                view: self.view,
-                parent,
-                batch: batch.into_batch(),
-                sig,
-            },
-        );
-    }
 
     /// Replica handling of the primary's `pre-prepare`.
     #[allow(clippy::too_many_arguments)]
@@ -412,13 +400,11 @@ impl Replica {
             return;
         }
         let d = batch.digest();
-        // The claimed root must match the carried transactions — a primary
-        // cannot commit the cluster to a root whose preimage it never sent —
-        // and no transaction may appear twice (a duplicated tail would both
-        // double-execute and exploit the Merkle odd-level duplication
-        // ambiguity to alias another batch's root). The check's witness is
-        // what the commit appends under: this is the replica's one
-        // derivation for the block.
+        // The claimed root must match the carried transactions, and no
+        // transaction may appear twice (a duplicated tail would
+        // double-execute and alias another batch's root through the Merkle
+        // odd-level duplication). The check is the replica's one derivation
+        // for the block.
         if batch.has_duplicate_tx_ids() {
             return;
         }
@@ -430,21 +416,19 @@ impl Replica {
         if !self.verify_signed(ctx, super::node_signer_id(primary), &bytes, &sig) {
             return;
         }
-        if batch.tx_ids().any(|id| self.committed_txs.contains(&id)) {
+        if self.log.any_committed(batch.tx_ids()) {
             return;
         }
-        // Prepared-lock: once this replica helped prepare a value at a chain
-        // position, it must not prepare a different value there in a later
-        // view unless the new primary's certified new-view explicitly carried
-        // the replacement (in which case the replacement *is* the prepared
-        // value, re-proposed).
+        // Prepared-lock: a replica that helped prepare a value at a chain
+        // position prepares no other value there in a later view, unless the
+        // certified new-view carried the replacement.
         let quorum = self.quorum_of(self.cluster);
         let conflicting_lock = self.intra.iter().any(|(other, r)| {
             *other != d
                 && !r.committed
                 && r.parent() == parent
                 && r.prepares.len() >= quorum
-                && !r.batch().is_empty()
+                && !r.batch.is_empty()
         });
         if conflicting_lock
             && self
@@ -465,7 +449,7 @@ impl Replica {
                 )),
                 Entry::Occupied(slot) => {
                     let round = slot.into_mut();
-                    if round.batch().is_empty() {
+                    if round.batch.is_empty() {
                         round.fill(cluster, batch, parent);
                     } else {
                         round.reposition(cluster, parent);
@@ -473,8 +457,7 @@ impl Replica {
                     round
                 }
             };
-            // A re-proposal under a newer view voids any votes gathered under
-            // the old one: they signed different view/parent bytes.
+            // Votes of an older view signed different bytes: void.
             if round.ballot.view != view {
                 round.prepares.clear();
                 round.prepare_sigs.clear();
@@ -482,16 +465,14 @@ impl Replica {
                 round.sent_commit = false;
             }
             round.ballot = Ballot::new(view, primary);
-            // The pre-prepare carries the primary's implicit prepare; this
-            // replica's own prepare is counted when it multicasts below.
+            // The pre-prepare is the primary's prepare; ours is multicast below.
             round.prepares.insert(primary);
             round.prepares.insert(self.node);
             round.prepare_sigs.insert(primary, sig);
             round.block.clone()
         };
         self.ensure_view_change_timer(ctx);
-        self.advance_tail(&block);
-
+        self.log.advance(&block);
         let vote_bytes = vote_sign_bytes(b"prepare", view, &parent, &d);
         let vote_sig = self.signer.sign(&vote_bytes);
         if let Some(round) = self.intra.get_mut(&d) {
@@ -521,7 +502,7 @@ impl Replica {
         view: u64,
         parent: Digest,
         d: Digest,
-        node: sharper_common::NodeId,
+        node: NodeId,
         sig: Signature,
         ctx: &mut Context<Msg>,
     ) {
@@ -553,10 +534,6 @@ impl Replica {
         self.try_send_pbft_commit(d, ctx);
     }
 
-    fn round_has_payload(round: &IntraRound) -> bool {
-        !round.batch().is_empty()
-    }
-
     fn try_send_pbft_commit(&mut self, d: Digest, ctx: &mut Context<Msg>) {
         let quorum = self.quorum_of(self.cluster);
         let view = self.view;
@@ -565,7 +542,7 @@ impl Replica {
         };
         if round.sent_commit
             || round.ballot.view != view
-            || !Self::round_has_payload(round)
+            || round.batch.is_empty()
             || round.prepares.len() < quorum
         {
             return;
@@ -595,7 +572,7 @@ impl Replica {
         view: u64,
         parent: Digest,
         d: Digest,
-        node: sharper_common::NodeId,
+        node: NodeId,
         sig: Signature,
         ctx: &mut Context<Msg>,
     ) {
@@ -623,7 +600,7 @@ impl Replica {
         if round.committed
             || !round.sent_commit
             || round.ballot.view != view
-            || !Self::round_has_payload(round)
+            || round.batch.is_empty()
             || round.commits.len() < quorum
         {
             return;
@@ -633,8 +610,7 @@ impl Replica {
         ctx.trace(|| TraceKind::Commit {
             batch: d.short_u64(),
         });
-        // In PBFT every replica replies; the client waits for f+1 matching
-        // replies (Figure 3(b)).
+        // Every replica replies; the client waits for f+1 matching replies.
         self.commit_block(ctx, block, true);
     }
 }

@@ -1,30 +1,24 @@
 //! Dynamic resharding: load tracking, the coordinator's split/merge
 //! decisions, and the freeze → snapshot → handover pipeline.
 //!
-//! The control plane is deliberately simple and fully deterministic:
+//! The control plane is simple and fully deterministic:
 //!
 //! * Every primary counts committed operations per *bucket* (a fixed
 //!   `accounts_per_shard / buckets_per_shard` slice of the key space) and
-//!   reports the counts to the coordinator — the primary of cluster 0 — on a
-//!   periodic timer.
-//! * The coordinator aggregates the latest report per cluster. When a bucket
-//!   runs hotter than `split_factor ×` the mean it is directed away to the
-//!   least-loaded cluster; when a previously displaced bucket cools below
-//!   `merge_factor ×` the mean it is directed home (which restores the
-//!   genesis map exactly — a merge is just the inverse move).
-//! * A directive is executed by the range's current owner as a two-phase,
-//!   consensus-ordered reconfiguration: an intra-shard **freeze** stabilises
-//!   the range (client transactions touching it abort deterministically),
-//!   then a cross-shard **handover** carrying the frozen balances commits
-//!   atomically on both chains through the ordinary flattened protocol — so
-//!   the move is audited like any block. Applying the handover bumps the
-//!   shard-map epoch on every involved replica; everyone else learns the new
-//!   map from a `MapAnnounce` (replicas) or a `Redirect` (clients).
+//!   periodically reports them to the coordinator, the primary of cluster 0.
+//! * The coordinator directs a bucket hotter than `split_factor ×` the mean
+//!   to the least-loaded cluster, and a displaced bucket cooler than
+//!   `merge_factor ×` the mean back home (restoring the genesis map).
+//! * The range's owner executes a directive as two consensus-ordered
+//!   phases: an intra-shard **freeze** (client transactions touching the
+//!   range abort deterministically), then a cross-shard **handover**
+//!   carrying the frozen balances, committed atomically on both chains by
+//!   the ordinary flattened protocol. Applying it bumps the shard-map epoch
+//!   on the involved replicas; the others learn the map from a `MapAnnounce`
+//!   (replicas) or a `Redirect` (clients).
 //!
-//! At most one directive is in flight at a time (the coordinator waits for
-//! `ReshardDone`), so epochs advance strictly sequentially. Everything is
-//! crash-model only: a Byzantine coordinator forging directives is out of
-//! scope for this reproduction (see README, "Dynamic resharding").
+//! One directive is in flight at a time, so epochs advance strictly in
+//! order. Crash model only (see README, "Dynamic resharding").
 
 use super::Replica;
 use crate::messages::{timer_tags, Msg};
@@ -32,7 +26,7 @@ use sharper_common::{
     AccountId, ClientId, ClusterId, FailureModel, ReshardConfig, TraceKind, TxId,
 };
 use sharper_crypto::Signature;
-use sharper_ledger::{Batch, VerifiedBatch};
+use sharper_ledger::Batch;
 use sharper_net::{ActorId, Context};
 use sharper_state::{Executor, Operation, Transaction};
 use std::collections::BTreeMap;
@@ -57,18 +51,14 @@ pub(super) struct PendingMove {
 #[derive(Debug, Default)]
 pub(super) struct ReshardState {
     /// Per-bucket `(total, movable)` commit counts since the last load
-    /// report. A commit is *movable* when every account the transaction
-    /// touches lives in that one bucket — moving the bucket would keep the
-    /// transaction single-bucket (and thus single-shard). Anything else is
-    /// pinned load: migrating its bucket would manufacture cross-shard
-    /// traffic.
+    /// report. A commit is *movable* when every account it touches lives in
+    /// that one bucket; anything else is pinned load, which migrating its
+    /// bucket would turn into cross-shard traffic.
     load: BTreeMap<u64, (u64, u64)>,
     /// Coordinator: the latest report per cluster (bucket → (total, movable)).
     reports: BTreeMap<ClusterId, BTreeMap<u64, (u64, u64)>>,
-    /// Coordinator: the directive currently in flight, `(epoch, start, len,
-    /// to)`. Kept whole so the check timer can re-send it: directives and
-    /// their `ReshardDone` acks travel the lossy network, and a dropped one
-    /// must not wedge the control plane.
+    /// Coordinator: the directive in flight, `(epoch, start, len, to)`, kept
+    /// whole so the check timer can re-send it over the lossy network.
     inflight: Option<(u64, u64, u64, ClusterId)>,
     /// Coordinator: the highest epoch ever directed.
     directed_epoch: u64,
@@ -78,8 +68,7 @@ pub(super) struct ReshardState {
     /// not yet committed).
     pub(super) pending_move: Option<PendingMove>,
     /// Source primary: a built handover transaction waiting for the primary
-    /// to unblock (it starts the cross-shard protocol, so it must wait for
-    /// any in-flight initiation or reservation).
+    /// to unblock (it starts a cross-shard round).
     pending_handover: Option<(Arc<Transaction>, Vec<ClusterId>)>,
     /// Sequence counter for this primary's system transactions.
     sys_seq: u64,
@@ -226,10 +215,8 @@ impl Replica {
         };
         ctx.set_timer(policy.check_interval, timer_tags::RESHARD_CHECK);
         if let Some((epoch, start, len, to)) = self.reshard.inflight {
-            // Re-send the in-flight directive: the original (or its
-            // `ReshardDone` ack) may have been dropped. The owner primary
-            // dedups via its pending move, and re-acks directives it has
-            // already completed.
+            // Re-send: the directive or its ack may have been dropped. The
+            // owner dedups via its pending move and re-acks completed ones.
             self.send_directive(epoch, start, len, to, ctx);
             return;
         }
@@ -314,10 +301,8 @@ impl Replica {
             }
         }
         // Split: the hottest *fully movable* bucket, if hot enough, moves to
-        // the least-loaded cluster. A bucket with any pinned load (commits
-        // that also touched other buckets) is never split — migrating it
-        // would convert that pinned traffic into cross-shard transactions,
-        // which costs far more than the imbalance it cures.
+        // the least-loaded cluster (moving pinned load would cost more in
+        // cross-shard traffic than the imbalance it cures).
         let (&hot_bucket, &(hot_load, _)) = by_bucket
             .iter()
             .filter(|(_, (total, movable))| total == movable)
@@ -330,22 +315,17 @@ impl Replica {
         let (&coldest, &coldest_load) = total_by_cluster
             .iter()
             .min_by_key(|(cluster, load)| (**load, cluster.0))?;
-        // Only move if it strictly improves the balance: the receiving
-        // cluster plus the moved mass must stay below the current owner.
-        // This is what stops the irreducible Zipf head bucket from
-        // ping-ponging — once it sits alone on a cluster, moving it cannot
-        // help. `target` is the mass that would meet the owner and the
-        // receiver exactly half-way.
+        // Only move if it strictly improves the balance (which stops the
+        // irreducible Zipf head bucket from ping-ponging). `target` is the
+        // mass that would meet the owner and the receiver half-way.
         let owner_load = total_by_cluster.get(&owner).copied().unwrap_or(0);
         if coldest == owner || coldest_load + hot_load >= owner_load {
             return None;
         }
         let target = owner_load.saturating_sub(coldest_load) / 2;
-        // A Zipf hot window makes the hottest buckets *adjacent* (rank r maps
-        // to account window_start + r), so coalesce the run of contiguous
-        // fully-movable buckets behind the head into one directive — one
-        // freeze + one handover round moves the whole head instead of paying
-        // a cross-shard reconfiguration round per bucket.
+        // A Zipf hot window makes the hottest buckets *adjacent*, so the run
+        // of contiguous fully-movable buckets behind the head moves as one
+        // directive: one freeze and one handover for the whole head.
         let mut run = 1u64;
         let mut mass = hot_load;
         while let Some(&(total, movable)) = by_bucket.get(&(hot_bucket + run)) {
@@ -454,16 +434,15 @@ impl Replica {
             len,
             epoch,
         ));
-        self.enqueue_intra(tx, Signature::unsigned(0), ctx);
+        self.enqueue(tx, Signature::unsigned(0), None, ctx);
         if !self.is_blocked() {
             self.flush_pending(ctx);
         }
     }
 
-    /// Called after a block containing reshard transactions applied. Handles
-    /// both phases: a freeze this primary was waiting for triggers the
-    /// snapshot + handover; a handover switches the map epoch everywhere it
-    /// applies.
+    /// Called after a block carrying reshard transactions applied: a freeze
+    /// this primary waited for triggers the snapshot and handover; a
+    /// handover switches the map epoch.
     pub(super) fn after_reshard_block(&mut self, batch: &Batch, ctx: &mut Context<Msg>) {
         for tx in batch.txs() {
             for op in &tx.operations {
@@ -497,9 +476,8 @@ impl Replica {
         if !self.is_primary() || mv.start != start || mv.len != len || mv.epoch != epoch {
             return;
         }
-        // The snapshot is taken from this primary's own post-freeze store.
-        // Every replica of the cluster holds the identical store at this
-        // block, so the entries are a pure function of the chain.
+        // Every replica holds the identical store at this block, so the
+        // snapshot is a pure function of the chain.
         let entries = Executor::snapshot_range(&self.store, start, len);
         let seq = self.reshard.sys_seq;
         self.reshard.sys_seq += 1;
@@ -520,9 +498,8 @@ impl Replica {
         self.try_start_pending_handover(ctx);
     }
 
-    /// Starts the pending handover if the primary is free to initiate.
-    /// Called from every unblock point (the handover must not interleave
-    /// with an in-flight initiation or reservation).
+    /// Starts the pending handover if the primary is free to initiate
+    /// (called from every unblock point).
     pub(super) fn try_start_pending_handover(&mut self, ctx: &mut Context<Msg>) {
         if self.is_blocked() {
             return;
@@ -530,13 +507,7 @@ impl Replica {
         let Some((tx, involved)) = self.reshard.pending_handover.take() else {
             return;
         };
-        let batch = VerifiedBatch::seal(vec![tx]);
-        ctx.trace(|| TraceKind::BatchSeal {
-            batch: batch.digest().short_u64(),
-            txs: batch.tx_ids().collect(),
-            cross: true,
-        });
-        self.start_cross(batch, involved, ctx);
+        self.propose_batch(vec![tx], Some(&involved), ctx);
     }
 
     /// A handover block applied: the range moved between `from` and `to`.

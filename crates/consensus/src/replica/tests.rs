@@ -9,14 +9,19 @@
 use super::*;
 use crate::config::ReplicaConfig;
 use crate::messages::{proposal_sign_bytes, vote_sign_bytes, Ballot, Msg, PreparedCert};
+use cross::CrossRound;
+use sharper_common::TxId;
 use sharper_common::{
     AccountId, ClientId, ClusterId, CostModel, FailureModel, InitiationPolicy, NodeId, SimTime,
     SystemConfig,
 };
-use sharper_crypto::{KeyRegistry, Signature};
+use sharper_crypto::{Digest, KeyRegistry, Signature};
 use sharper_ledger::audit_views;
 use sharper_ledger::batch::root_derivations;
+use sharper_ledger::{Batch, Block, Parents, VerifiedBatch};
+use sharper_net::Context;
 use sharper_state::{Partitioner, Transaction};
+use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 const ACCOUNTS_PER_SHARD: u64 = 100;
@@ -1459,8 +1464,8 @@ fn the_round_holds_the_block_a_fresh_build_would_give() {
             let round = &replica.intra[&batch.digest()];
             assert_eq!(*round.block, expected, "{model:?} replica {node}");
             assert_eq!(round.parent(), genesis);
-            assert_eq!(round.batch(), &batch);
-            assert_eq!(replica.ordering_tail(), expected.digest());
+            assert_eq!(&*round.batch, &batch);
+            assert_eq!(replica.log.tail(), expected.digest());
         }
     }
 }
@@ -1486,7 +1491,7 @@ fn paxos_replay_at_another_parent_rebuilds_the_rounds_block() {
     deliver(&mut net, n0, 2, accept(old, a_at_genesis, &b));
     let stale = fresh_block(&b, a_at_genesis);
     assert_eq!(*net.replica(2).intra[&b.digest()].block, stale);
-    assert_eq!(net.replica(2).ordering_tail(), stale.digest());
+    assert_eq!(net.replica(2).log.tail(), stale.digest());
 
     // The view-1 primary replays B right after genesis: same batch, newer
     // ballot, different position. The round's block must follow.
@@ -1501,7 +1506,7 @@ fn paxos_replay_at_another_parent_rebuilds_the_rounds_block() {
     let round = &net.replica(2).intra[&b.digest()];
     assert_eq!(*round.block, moved);
     assert_eq!(round.ballot, new);
-    assert_eq!(net.replica(2).ordering_tail(), moved.digest());
+    assert_eq!(net.replica(2).log.tail(), moved.digest());
 
     // The commit appends the re-positioned block.
     let commit = Msg::PaxosCommit {
@@ -1545,7 +1550,7 @@ fn pbft_replay_at_another_parent_rebuilds_the_rounds_block() {
     let round = &net.replica(2).intra[&b.digest()];
     assert_eq!(*round.block, moved);
     assert_eq!(round.ballot, Ballot::new(1, NodeId(1)));
-    assert_eq!(net.replica(2).ordering_tail(), moved.digest());
+    assert_eq!(net.replica(2).log.tail(), moved.digest());
 }
 
 #[test]
@@ -1585,6 +1590,173 @@ fn a_commit_naming_another_parent_does_not_reuse_the_accepted_block() {
 }
 
 // ---------------------------------------------------------------------
+// The ordering log: decided blocks append in chain order
+// ---------------------------------------------------------------------
+
+fn paxos_commit(parent: Digest, batch: &Batch) -> Msg {
+    Msg::PaxosCommit {
+        ballot: Ballot::new(0, NodeId(0)),
+        parent,
+        batch: batch.clone(),
+    }
+}
+
+#[test]
+fn a_backup_appends_commits_that_overtook_each_other_in_chain_order() {
+    let cfg = test_config(FailureModel::Crash, 1, 1);
+    let mut net = TestNet::new(cfg);
+    let genesis = net.replica(2).ledger().head();
+    let (a, b) = (Batch::single(intra_tx(0)), Batch::single(intra_tx(1)));
+    let block_1 = fresh_block(&a, genesis);
+    let block_2 = fresh_block(&b, block_1.digest());
+    let n0 = ActorId::Node(NodeId(0));
+
+    // Block 2's commit arrives first: it waits for its parent.
+    deliver(&mut net, n0, 2, paxos_commit(block_1.digest(), &b));
+    assert!(net.replica(2).ledger().is_empty());
+    assert_eq!(net.replica(2).log.parked_len(), 1);
+
+    // Block 1 appends, and block 2 right behind it.
+    deliver(&mut net, n0, 2, paxos_commit(genesis, &a));
+    let replica = net.replica(2);
+    let chain: Vec<Digest> = replica.ledger().blocks().map(Block::digest).collect();
+    assert_eq!(chain, vec![genesis, block_1.digest(), block_2.digest()]);
+    assert_eq!(replica.log.parked_len(), 0);
+    assert_eq!(replica.log.tail(), block_2.digest());
+    assert_eq!(replica.committed_count(), 2);
+}
+
+#[test]
+fn a_second_decided_block_at_an_already_filled_position_is_dropped() {
+    let cfg = test_config(FailureModel::Crash, 1, 1);
+    let mut net = TestNet::new(cfg);
+    let genesis = net.replica(2).ledger().head();
+    let a = Batch::single(intra_tx(0));
+    let (b, c) = (Batch::single(intra_tx(1)), Batch::single(intra_tx(2)));
+    let block_1 = fresh_block(&a, genesis);
+    let n0 = ActorId::Node(NodeId(0));
+
+    // Two decided blocks name block 1 as their parent; both wait for it.
+    deliver(&mut net, n0, 2, paxos_commit(block_1.digest(), &b));
+    deliver(&mut net, n0, 2, paxos_commit(block_1.digest(), &c));
+    assert_eq!(net.replica(2).log.parked_len(), 2);
+
+    // The first fills the position after block 1; the second is dropped.
+    deliver(&mut net, n0, 2, paxos_commit(genesis, &a));
+    let replica = net.replica(2);
+    assert_eq!(replica.ledger().len(), 3);
+    assert_eq!(
+        replica.ledger().head(),
+        fresh_block(&b, block_1.digest()).digest()
+    );
+    assert_eq!(replica.log.parked_len(), 0);
+    assert_eq!(replica.committed_count(), 2);
+    assert!(!replica.ledger().contains_tx(intra_tx(2).id));
+}
+
+#[test]
+fn a_paxos_accept_naming_a_parked_blocks_parent_is_refused() {
+    let cfg = test_config(FailureModel::Crash, 1, 1);
+    let mut net = TestNet::new(cfg);
+    let genesis = net.replica(2).ledger().head();
+    let block_1 = fresh_block(&Batch::single(intra_tx(0)), genesis);
+    let n0 = ActorId::Node(NodeId(0));
+    let b = Batch::single(intra_tx(1));
+    deliver(&mut net, n0, 2, paxos_commit(block_1.digest(), &b));
+
+    // The position after block 1 is decided (parked), so a proposal for it
+    // is not endorsed.
+    let c = Batch::single(intra_tx(2));
+    let accept = Msg::PaxosAccept {
+        ballot: Ballot::new(0, NodeId(0)),
+        parent: block_1.digest(),
+        batch: c.clone(),
+    };
+    let out = deliver(&mut net, n0, 2, accept);
+    assert!(!out
+        .iter()
+        .any(|(_, m)| matches!(m, Msg::PaxosAccepted { .. })));
+    assert!(!net.replica(2).intra.contains_key(&c.digest()));
+}
+
+#[test]
+fn install_view_drops_parked_blocks_whose_transactions_all_committed() {
+    let cfg = test_config(FailureModel::Crash, 1, 1);
+    let mut net = TestNet::new(cfg);
+    let genesis = net.replica(2).ledger().head();
+    let n0 = ActorId::Node(NodeId(0));
+    let orphan_parent = fresh_block(&Batch::single(intra_tx(9)), genesis).digest();
+    let other_parent = fresh_block(&Batch::single(intra_tx(8)), genesis).digest();
+    let settled = Batch::single(intra_tx(0));
+    let open = Batch::single(intra_tx(1));
+    deliver(&mut net, n0, 2, paxos_commit(orphan_parent, &settled));
+    deliver(&mut net, n0, 2, paxos_commit(other_parent, &open));
+    // `settled`'s transaction commits through another block.
+    deliver(&mut net, n0, 2, paxos_commit(genesis, &settled));
+    assert_eq!(net.replica(2).committed_count(), 1);
+    assert_eq!(net.replica(2).log.parked_len(), 2);
+
+    let backup = net.replicas.get_mut(&NodeId(2)).unwrap();
+    let mut ctx = Context::detached(SimTime::from_millis(1), ActorId::Node(NodeId(2)));
+    backup.install_view(1, &mut ctx);
+    assert_eq!(
+        backup.log.parked_len(),
+        1,
+        "only the open block stays parked"
+    );
+    assert_eq!(backup.log.tail(), backup.ledger().head());
+}
+
+#[test]
+fn a_new_primary_restarts_the_first_of_its_initiator_rounds_in_priority_order() {
+    let cfg = test_config(FailureModel::Crash, 2, 1);
+    let vote = |node: u32| Msg::ViewChange {
+        cluster: ClusterId(0),
+        new_view: 1,
+        node: NodeId(node),
+        accepted: vec![],
+        prepared: vec![],
+        chain_len: 0,
+        sig: Signature::unsigned(0),
+    };
+    // Each pair meets a fresh hash map; every one must restart the same
+    // round.
+    for pair in 0..8u64 {
+        let mut net = TestNet::new(Arc::clone(&cfg));
+        let batches = [2 * pair, 2 * pair + 1].map(|seq| Batch::single(cross_tx(seq, 1)));
+        let backup = net.replicas.get_mut(&NodeId(1)).unwrap();
+        for batch in &batches {
+            let involved = batch.involved_clusters(&cfg.partitioner);
+            let verified = VerifiedBatch::check(batch.clone()).unwrap();
+            let round = CrossRound::new(verified, involved, ClusterId(0), 0);
+            backup.cross.insert(batch.digest(), round);
+        }
+        let first = batches
+            .iter()
+            .map(Batch::digest)
+            .min_by_key(|d| cross_priority_key(*d, ClusterId(0)))
+            .unwrap();
+
+        // Node 1 becomes the primary of view 1 and takes over.
+        deliver(&mut net, ActorId::Node(NodeId(2)), 1, vote(2));
+        let out = deliver(&mut net, ActorId::Node(NodeId(1)), 1, vote(1));
+        let replica = net.replica(1);
+        assert!(replica.is_primary());
+        assert_eq!(replica.initiating, Some(first), "pair {pair}");
+        assert_eq!(replica.cross.keys().copied().collect::<Vec<_>>(), [first]);
+        let mut proposed: Vec<Digest> = out
+            .iter()
+            .filter_map(|(_, m)| match m {
+                Msg::XPropose { batch, .. } => Some(batch.digest()),
+                _ => None,
+            })
+            .collect();
+        proposed.dedup();
+        assert_eq!(proposed, [first], "pair {pair}");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Hash once: the verified-batch witness
 // ---------------------------------------------------------------------
 
@@ -1616,7 +1788,7 @@ fn assert_untouched(net: &TestNet, node: u32) {
     assert_eq!(r.committed_count(), 0, "replica {node}");
     assert!(r.ledger().is_empty(), "replica {node}");
     assert!(r.intra.is_empty() && r.cross.is_empty(), "replica {node}");
-    assert!(r.deferred.is_empty(), "replica {node}");
+    assert_eq!(r.log.parked_len(), 0, "replica {node}");
     assert!(r.is_idle(), "replica {node}");
 }
 

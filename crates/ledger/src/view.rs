@@ -18,10 +18,11 @@
 //! digests, and the view keeps reporting its *logical* length and committed
 //! count, so `ledger_digest()` over `(head, len)` is bit-identical whether
 //! or not the history behind the watermark is resident. The digest → height
-//! index is kept for all history (a few dozen bytes per block, vs. the
-//! kilobytes of a batched block payload), which lets every consensus-side
-//! query — "is this digest a committed position?" — answer identically
-//! before and after pruning.
+//! and transaction → height indexes are kept for all history (a few dozen
+//! bytes per block or transaction, vs. the kilobytes of a batched block
+//! payload), which lets every consensus-side query — "is this digest a
+//! committed position?", "is this transaction committed?" — answer
+//! identically before and after pruning.
 
 use crate::block::{Block, VerifiedBlock};
 use sharper_common::{ClusterId, Error, LedgerConfig, Result, TxId};
@@ -89,9 +90,10 @@ pub struct LedgerView {
     /// Index from block digest to absolute height — **all history**, never
     /// pruned, so position-consumed checks stay exact after truncation.
     index: HashMap<Digest, usize>,
-    /// Index from transaction id to absolute height — retained window only.
+    /// Index from transaction id to absolute height — **all history**, never
+    /// pruned, so duplicate detection stays exact after truncation.
     tx_index: HashMap<TxId, usize>,
-    /// Commitment to everything pruned from `blocks` / `tx_index`.
+    /// Commitment to everything pruned from `blocks`.
     checkpoint: Checkpoint,
 }
 
@@ -142,7 +144,7 @@ impl LedgerView {
     /// batching a block may carry several transactions, so this can exceed
     /// `len() - 1`.
     pub fn committed_count(&self) -> usize {
-        self.checkpoint.committed_count + self.tx_index.len()
+        self.tx_index.len()
     }
 
     /// Logical number of committed blocks (excludes the genesis block).
@@ -172,7 +174,8 @@ impl LedgerView {
     /// Returns an error if the block is the genesis block, if it does not
     /// reference this cluster, if its parent digest for this cluster is not
     /// the current head, or if any carried transaction appears twice in it
-    /// or was already committed (duplicate detection).
+    /// or was already committed, in any block of the view's history
+    /// (duplicate detection).
     pub fn append_verified(&mut self, block: VerifiedBlock) -> Result<()> {
         if block.is_genesis() {
             return Err(Error::ProtocolViolation(
@@ -229,15 +232,14 @@ impl LedgerView {
         Ok(())
     }
 
-    /// Whether a transaction is committed in the retained window. (The
-    /// replica's own committed-transaction set is the authoritative
-    /// full-history duplicate guard.)
+    /// Whether a transaction is committed in this view — answered from the
+    /// all-history index, so truncation never changes the answer.
     pub fn contains_tx(&self, tx: TxId) -> bool {
         self.tx_index.contains_key(&tx)
     }
 
-    /// The position (1-based absolute block height) of a transaction
-    /// committed in the retained window.
+    /// The position (1-based absolute block height) of a committed
+    /// transaction, folded behind the watermark or not.
     pub fn position_of(&self, tx: TxId) -> Option<usize> {
         self.tx_index.get(&tx).copied()
     }
@@ -313,7 +315,8 @@ impl LedgerView {
     }
 
     /// Folds the oldest `count` retained blocks into the checkpoint and
-    /// drops their payloads (and tx index entries). Each block is
+    /// drops their payloads (the digest and transaction indexes keep their
+    /// entries). Each block is
     /// re-verified — integrity and parent link — before folding; this is the
     /// incremental audit at the watermark, and it fails (leaving the view
     /// untouched) if any block below the watermark was tampered with.
@@ -365,11 +368,7 @@ impl LedgerView {
         }
         // Fold and drop.
         for block in self.blocks.drain(..count) {
-            let txs = block.tx_ids().count();
-            self.checkpoint.fold(block.digest(), txs);
-            for tx_id in block.tx_ids() {
-                self.tx_index.remove(&tx_id);
-            }
+            self.checkpoint.fold(block.digest(), block.tx_ids().count());
         }
         Ok(())
     }
@@ -740,6 +739,25 @@ mod tests {
         assert!(pruned.block(old).is_none());
         assert!(all.block(old).is_some());
         assert!(pruned.block(pruned.head()).is_some());
+    }
+
+    #[test]
+    fn a_truncated_view_still_refuses_a_transaction_folded_behind_the_watermark() {
+        let mut v = LedgerView::new(ClusterId(0));
+        for seq in 0..6 {
+            let b = intra_block(&v, tx(1, seq));
+            v.append(b).unwrap();
+        }
+        v.truncate_prefix(3).unwrap();
+        let folded = TxId::new(ClientId(1), 0);
+        assert!(v.first_retained_height() > v.position_of(folded).unwrap());
+        assert!(v.contains_tx(folded));
+        assert_eq!(v.committed_count(), 6);
+        // Re-committing the folded transaction at the head is a duplicate.
+        let replay = intra_block(&v, tx(1, 0));
+        assert!(matches!(v.append(replay), Err(Error::ProtocolViolation(_))));
+        assert_eq!(v.committed_count(), 6);
+        assert_eq!(v.len(), 7);
     }
 
     #[test]
