@@ -20,8 +20,11 @@
 //! Output: one text table per figure (system, clients, throughput, latency),
 //! plus a machine-readable `BENCH_<figure>.json` file per figure so the
 //! performance trajectory of the reproduction can be tracked commit over
-//! commit.
+//! commit, and `CLAIMS.md`, the paper scorecard ([`sharper_bench::claims`])
+//! over the figures that ran. It exits 1 when an artifact cannot be written,
+//! a determinism check fails or a claim breaks the scorecard's ratchet.
 
+use sharper_bench::claims::{self, Results};
 use sharper_bench::{
     batching_to_json, cli_flag_value, cli_thread_mode, exec_to_json, fig8xl_to_json,
     figure_ablation, figure_batching, figure_cross_shard_sweep, figure_exec, figure_fig8xl,
@@ -56,10 +59,16 @@ fn emit(out_dir: &Path, name: &str, title: &str, series: &[Series]) {
 
 fn write_json(out_dir: &Path, name: &str, json: &str) {
     let path = out_dir.join(format!("BENCH_{name}.json"));
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("BENCH_JSON {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+    write_artifact(&path, json, "BENCH_JSON");
+}
+
+/// Writes one output file, or exits 1: a run that lost an artifact fails.
+fn write_artifact(path: &Path, contents: &str, tag: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("failed to write {}: {e}", path.display());
+        std::process::exit(1);
     }
+    println!("{tag} {}", path.display());
 }
 
 fn main() {
@@ -96,6 +105,7 @@ fn main() {
         }
     }
     let wants = |name: &str| only.as_deref().is_none_or(|f| f.eq_ignore_ascii_case(name));
+    let mut results = Results::default();
 
     let cross_figs = [
         ("6a", FailureModel::Crash, 0.0),
@@ -119,6 +129,7 @@ fn main() {
                 ),
                 &series,
             );
+            results.series.insert(name, series);
         }
     }
     if wants("8a") {
@@ -129,6 +140,7 @@ fn main() {
             "Figure 8a: SharPer scalability, crash-only, 10% cross-shard",
             &series,
         );
+        results.series.insert("8a", series);
     }
     if wants("8b") {
         let series = figure_scalability(
@@ -144,6 +156,7 @@ fn main() {
             "Figure 8b: SharPer scalability, Byzantine, 10% cross-shard",
             &series,
         );
+        results.series.insert("8b", series);
     }
     if wants("ablation") {
         let series = figure_ablation(threads, duration);
@@ -154,6 +167,7 @@ fn main() {
              group-aware clustering (Byzantine, 10% cross-shard)",
             &series,
         );
+        results.series.insert("ablation", series);
     }
     if wants("fig8xl") {
         // The bounded-memory scaling sweep is much heavier than the paper
@@ -196,6 +210,7 @@ fn main() {
                 }
                 println!("fig8xl: peak RSS {peak:.0} MiB within the {ceiling:.0} MiB ceiling");
             }
+            results.fig8xl = Some(sweep);
         }
     }
     if wants("batching") {
@@ -207,6 +222,7 @@ fn main() {
         let series = figure_batching(&batch_sizes, clients, threads, duration);
         print_batching("Batching: throughput vs max_batch_size", &series);
         write_json(&out_dir, "batching", &batching_to_json(&series));
+        results.batching = Some(series);
     }
     if wants("parallel") {
         let cluster_counts: Vec<usize> = if quick {
@@ -239,28 +255,12 @@ fn main() {
         let sweep = figure_reshard(reshard_clients, threads, reshard_duration);
         print_reshard(&sweep);
         write_json(&out_dir, "reshard", &reshard_to_json(&sweep));
-        let fairness_md = reshard_fairness_markdown(&sweep);
-        let md_path = out_dir.join("reshard-fairness.md");
-        match std::fs::write(&md_path, &fairness_md) {
-            Ok(()) => println!("FAIRNESS_TABLE {}", md_path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", md_path.display()),
-        }
-        if sweep.dynamic_speedup < 1.3 {
-            eprintln!(
-                "reshard: dynamic resharding is only {:.2}x static under hot-key drift \
-                 (claim: >= 1.3x)",
-                sweep.dynamic_speedup
-            );
-            std::process::exit(1);
-        }
-        if sweep.fairness_spread > 1.5 {
-            eprintln!(
-                "reshard: per-initiator-cluster completion spread {:.2}x exceeds the 1.5x \
-                 fairness gate",
-                sweep.fairness_spread
-            );
-            std::process::exit(1);
-        }
+        write_artifact(
+            &out_dir.join("reshard-fairness.md"),
+            &reshard_fairness_markdown(&sweep),
+            "FAIRNESS_TABLE",
+        );
+        results.reshard = Some(sweep);
     }
     if wants("exec") {
         let sweep = figure_exec(0x5EED, quick);
@@ -270,6 +270,22 @@ fn main() {
             eprintln!("partitioned apply diverged from serial apply — determinism bug");
             std::process::exit(1);
         }
+        results.exec = Some(sweep);
+    }
+
+    // The scorecard's header names only the flags that change its numbers:
+    // `--threads` and `--out` never do.
+    let fig = only.map(|f| format!(" --fig {f}")).unwrap_or_default();
+    let quick = if quick { " --quick" } else { "" };
+    let command = format!("cargo run -p sharper-bench --release --bin figures --{fig}{quick}");
+    let rows = claims::evaluate(&results);
+    let scorecard = claims::markdown(&rows, &command);
+    print!("\n{scorecard}");
+    write_artifact(&out_dir.join("CLAIMS.md"), &scorecard, "CLAIMS");
+    let broken = claims::ratchet(&rows, claims::KNOWN_FAILING);
+    broken.iter().for_each(|b| eprintln!("claims: {b}"));
+    if !broken.is_empty() {
+        std::process::exit(1);
     }
 }
 

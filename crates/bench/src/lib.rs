@@ -9,10 +9,12 @@
 //!   figures`) runs the full sweeps and prints the series that correspond to
 //!   Figures 6(a)–(d), 7(a)–(d) and 8(a)–(b), plus the two ablations
 //!   (`--fig ablation`, see [`figure_ablation`]).
-//! * The `golden`, `faultsweep` and `perfgate` binaries are the CI gates:
-//!   the determinism matrix, the fault sweep (audit, liveness, trace
-//!   invariants and fairness) and the simulated-throughput regression
-//!   check. `golden` and `faultsweep` build their deployments from
+//!   It also evaluates the paper scorecard ([`claims`]) on the results it
+//!   ran and writes it as `CLAIMS.md`, exiting 1 when a claim leaves its
+//!   ratchet.
+//! * The `golden` and `faultsweep` binaries are the CI gates: the
+//!   determinism matrix and the fault sweep (audit, liveness, trace
+//!   invariants and fairness). Both build their deployments from
 //!   [`gate::Deployment`].
 //!
 //! Per-layer host timings (hashing, block build, ledger append, message
@@ -21,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod gate;
 pub mod trace;
 
@@ -121,27 +124,6 @@ pub fn figure_to_json(figure: &str, series: &[Series]) -> String {
         json_string(figure),
         rendered.join(",")
     )
-}
-
-/// Extracts every `"throughput_tps":<number>` value from a BENCH json
-/// document. The format is produced by this crate (see [`figure_to_json`]),
-/// so a targeted scan is exact — no general JSON parser is needed (or
-/// available offline).
-pub fn throughput_values(json: &str) -> Vec<f64> {
-    const NEEDLE: &str = "\"throughput_tps\":";
-    let mut values = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find(NEEDLE) {
-        rest = &rest[pos + NEEDLE.len()..];
-        let end = rest
-            .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].parse::<f64>() {
-            values.push(v);
-        }
-        rest = &rest[end..];
-    }
-    values
 }
 
 /// Escapes a string as a JSON string literal.
@@ -687,7 +669,8 @@ pub struct Fig8xlSweep {
     pub threads: String,
     /// Worker threads available to the harness process.
     pub host_cpus: usize,
-    /// Maximum simulated throughput over all points (the perfgate headline).
+    /// Maximum simulated throughput over all points (the `fig8xl-peak`
+    /// claim's number).
     pub max_throughput_tps: f64,
     /// One point per cluster count.
     pub points: Vec<Fig8xlPoint>,
@@ -1414,14 +1397,6 @@ mod tests {
         assert!(points.iter().all(|p| p.committed > 0));
         let clients: Vec<usize> = points.iter().map(|p| p.clients).collect();
         assert_eq!(clients, [8, 8, 8, 8, 8, 20]);
-        // The BENCH document is one perfgate can read: one throughput per
-        // point, in series order, as rendered (three decimals).
-        let parsed = throughput_values(&figure_to_json("ablation", &series));
-        let rendered: Vec<f64> = points
-            .iter()
-            .map(|p| format!("{:.3}", p.throughput_tps).parse().unwrap())
-            .collect();
-        assert_eq!(parsed, rendered);
     }
 
     #[test]
