@@ -11,7 +11,9 @@
 //!   (crash-only) and Algorithm 2 (Byzantine), in which the primary of the
 //!   initiator cluster collects `propose → accept → commit` quorums from
 //!   *every* involved cluster, with per-node reservations, conflict timers,
-//!   retries and the super-primary initiation policy (§3.2–§3.3);
+//!   retries and the super-primary initiation policy (§3.2–§3.3). Both
+//!   algorithms share one message family (`XPropose`, `XAccept`, `XCommit`,
+//!   unsigned placeholders in the crash model) and one handler per phase;
 //! * **view change** — a PBFT-style primary replacement triggered by
 //!   timeouts (liveness, §3.2/§3.3);
 //! * **primary-side batching** — pending client requests are accumulated

@@ -1,10 +1,17 @@
 //! Protocol messages exchanged by SharPer replicas and clients.
 //!
-//! One message enum covers the client interface, Paxos, PBFT, both flattened
-//! cross-shard protocols and the view-change sub-protocol. Field names follow
+//! One message enum covers the client interface, Paxos, PBFT, the flattened
+//! cross-shard protocol and the view-change sub-protocol. Field names follow
 //! the paper: `d` is the digest `D(m)` of the requested payload — with
 //! batching the Merkle root of the proposed [`Batch`] — and `h_i` (here
 //! `parent`) is the hash of the previous block ordered by cluster `p_i`.
+//!
+//! Both failure models share one cross-shard family, `XPropose → XAccept →
+//! XCommit` (Algorithms 1 and 2 differ in quorums, fan-out and signing, not
+//! in phases). Every member carries a signature; in the crash model it is a
+//! [`Signature::unsigned`] placeholder, as for a crash-model `Request`, and
+//! the receiver's failure model, never the message, decides whether it is
+//! checked.
 
 use sharper_common::{ClusterId, NodeId, TxId};
 use sharper_crypto::{Digest, QuorumCert, Signature};
@@ -203,10 +210,10 @@ pub enum Msg {
     },
 
     // ------------------------------------------------------------------
-    // Cross-shard consensus, crash model (Algorithm 1)
+    // Cross-shard consensus (Algorithm 1, crash; Algorithm 2, Byzantine)
     // ------------------------------------------------------------------
     /// Initiator primary → all nodes of all involved clusters:
-    /// `⟨PROPOSE, h_i, d, m⟩`.
+    /// `⟨PROPOSE, h_i, d, m⟩` (signed in the Byzantine model).
     XPropose {
         /// The initiator cluster `p_i`.
         initiator: ClusterId,
@@ -218,78 +225,40 @@ pub enum Msg {
         /// set — cross-shard transactions only batch with same-cluster-set
         /// peers).
         batch: Batch,
+        /// The initiator primary's signature over `(initiator, parent, d)`.
+        sig: Signature,
     },
-    /// Node of an involved cluster → initiator primary:
-    /// `⟨ACCEPT, h_i, h_j, d, r⟩`.
+    /// `⟨ACCEPT, h_i, h_j, d, r⟩`: node of an involved cluster → initiator
+    /// primary (crash), or → all nodes of all involved clusters (Byzantine).
+    /// The accepting node's cluster `p_j` is the one the configuration puts
+    /// `node` in.
     XAccept {
         /// Digest (batch root) of the proposed batch.
         d: Digest,
         /// Retry attempt this accept answers.
         attempt: u32,
-        /// The accepting node's cluster `p_j`.
-        cluster: ClusterId,
         /// `h_j`: hash of the previous block ordered by cluster `p_j`.
         parent: Digest,
         /// Chain height of `parent` (blocks from genesis, inclusive). The
-        /// initiator uses it to detect a stale cluster primary: an accept
-        /// from a member *ahead* of the primary proves the primary's tail
-        /// has already been built past and its parent must not be committed
-        /// against (see `assemble_parents`).
+        /// crash initiator uses it to detect a stale cluster primary: an
+        /// accept from a member *ahead* of the primary proves the primary's
+        /// tail has already been built past and its parent must not be
+        /// committed against (see `assemble_parents`). Unsigned, so the
+        /// Byzantine model ignores it.
         height: u64,
         /// The accepting node.
         node: NodeId,
+        /// Signature over `(d, p_j, parent)`.
+        sig: Signature,
     },
-    /// Initiator primary → all nodes of all involved clusters:
-    /// `⟨COMMIT, h_i, h_j, h_k, ..., d, r⟩`.
+    /// `⟨COMMIT, h_i, h_j, h_k, ..., d, r⟩`: the initiator primary's decision
+    /// (crash), or one node's commit vote (Byzantine), to all nodes of all
+    /// involved clusters. `d` is the batch's root.
     XCommit {
-        /// Digest (batch root) of the committed batch.
-        d: Digest,
         /// One parent hash per involved cluster (shared across the fan-out).
         parents: Parents,
         /// The committed batch (carried so lagging replicas can apply).
         batch: Batch,
-    },
-
-    // ------------------------------------------------------------------
-    // Cross-shard consensus, Byzantine model (Algorithm 2)
-    // ------------------------------------------------------------------
-    /// Initiator primary → all nodes of all involved clusters (signed).
-    XProposeB {
-        /// The initiator cluster `p_i`.
-        initiator: ClusterId,
-        /// Retry attempt number.
-        attempt: u32,
-        /// `h_i`: hash of the previous block ordered by the initiator cluster.
-        parent: Digest,
-        /// The cross-shard batch (one involved-cluster set).
-        batch: Batch,
-        /// The initiator primary's signature over `(initiator, parent, d)`.
-        sig: Signature,
-    },
-    /// Node → all nodes of all involved clusters (signed).
-    XAcceptB {
-        /// Digest (batch root) of the proposed batch.
-        d: Digest,
-        /// Retry attempt this accept answers.
-        attempt: u32,
-        /// The accepting node's cluster `p_j`.
-        cluster: ClusterId,
-        /// `h_j`: hash of the previous block ordered by cluster `p_j`.
-        parent: Digest,
-        /// The accepting node.
-        node: NodeId,
-        /// Signature over `(d, cluster, parent)`.
-        sig: Signature,
-    },
-    /// Node → all nodes of all involved clusters (signed).
-    XCommitB {
-        /// Digest (batch root) of the committed batch.
-        d: Digest,
-        /// One parent hash per involved cluster (as assembled from the accept
-        /// quorum observed by the sender; shared across the fan-out).
-        parents: Parents,
-        /// The sender's cluster.
-        cluster: ClusterId,
         /// The sending node.
         node: NodeId,
         /// Signature over `(d, parents)`.
@@ -314,8 +283,6 @@ pub enum Msg {
     XStatus {
         /// Digest of the reserved proposal.
         d: Digest,
-        /// The probing node's cluster.
-        cluster: ClusterId,
         /// The probing node (the answer is sent directly to it).
         node: NodeId,
     },
@@ -432,50 +399,7 @@ impl Msg {
                 | Msg::PaxosAccept { .. }
                 | Msg::PrePrepare { .. }
                 | Msg::XPropose { .. }
-                | Msg::XProposeB { .. }
         )
-    }
-
-    /// Whether the message carries a signature that must be verified in the
-    /// Byzantine model (used for CPU-cost accounting).
-    pub fn is_signed(&self) -> bool {
-        matches!(
-            self,
-            Msg::Request { .. }
-                | Msg::PrePrepare { .. }
-                | Msg::Prepare { .. }
-                | Msg::PbftCommit { .. }
-                | Msg::XProposeB { .. }
-                | Msg::XAcceptB { .. }
-                | Msg::XCommitB { .. }
-                | Msg::ViewChange { .. }
-                | Msg::NewView { .. }
-        )
-    }
-
-    /// The proposal digest this message refers to, if it refers to one. For
-    /// batch-carrying messages this is the batch's Merkle root; a `Request`
-    /// answers with its transaction digest (requests are per-transaction).
-    pub fn digest(&self) -> Option<Digest> {
-        match self {
-            Msg::Request { tx, .. } => Some(tx.digest()),
-            Msg::Reply { .. } => None,
-            Msg::PaxosAccept { batch, .. } | Msg::PaxosCommit { batch, .. } => Some(batch.digest()),
-            Msg::PaxosAccepted { d, .. } => Some(*d),
-            Msg::PrePrepare { batch, .. } => Some(batch.digest()),
-            Msg::Prepare { d, .. } | Msg::PbftCommit { d, .. } => Some(*d),
-            Msg::XPropose { batch, .. } | Msg::XProposeB { batch, .. } => Some(batch.digest()),
-            Msg::XAccept { d, .. } | Msg::XAcceptB { d, .. } => Some(*d),
-            Msg::XCommit { d, .. } | Msg::XCommitB { d, .. } => Some(*d),
-            Msg::XAbort { d, .. } => Some(*d),
-            Msg::XStatus { d, .. } => Some(*d),
-            Msg::Redirect { .. }
-            | Msg::LoadReport { .. }
-            | Msg::ReshardDirective { .. }
-            | Msg::ReshardDone { .. }
-            | Msg::MapAnnounce { .. } => None,
-            Msg::ViewChange { .. } | Msg::NewView { .. } => None,
-        }
     }
 }
 
@@ -493,7 +417,7 @@ pub struct AcceptedRound {
     pub batch: Batch,
 }
 
-/// Canonical bytes signed by the primary for a `PrePrepare`/`XProposeB`.
+/// Canonical bytes signed by the primary for a `PrePrepare`/`XPropose`.
 pub fn proposal_sign_bytes(view_or_initiator: u64, parent: &Digest, d: &Digest) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + 64 + 16);
     out.extend_from_slice(b"sharper-proposal");
@@ -503,7 +427,7 @@ pub fn proposal_sign_bytes(view_or_initiator: u64, parent: &Digest, d: &Digest) 
     out
 }
 
-/// Canonical bytes signed by a replica for `Prepare`/`PbftCommit`/`XAcceptB`.
+/// Canonical bytes signed by a replica for `Prepare`/`PbftCommit`/`XAccept`/`XCommit`.
 pub fn vote_sign_bytes(label: &[u8], context: u64, parent: &Digest, d: &Digest) -> Vec<u8> {
     let mut out = Vec::with_capacity(label.len() + 8 + 64);
     out.extend_from_slice(label);
@@ -564,7 +488,8 @@ mod tests {
             initiator: ClusterId(0),
             attempt: 0,
             parent: Digest::ZERO,
-            batch: batch()
+            batch: batch(),
+            sig
         }
         .starts_new_transaction());
         assert!(!Msg::PaxosAccepted {
@@ -574,99 +499,12 @@ mod tests {
         }
         .starts_new_transaction());
         assert!(!Msg::XCommit {
-            d: Digest::ZERO,
             parents: Parents::default(),
-            batch: batch()
+            batch: batch(),
+            node: NodeId(0),
+            sig
         }
         .starts_new_transaction());
-    }
-
-    #[test]
-    fn signed_classification_matches_byzantine_messages() {
-        let sig = Signature::unsigned(0);
-        assert!(Msg::PrePrepare {
-            view: 0,
-            parent: Digest::ZERO,
-            batch: batch(),
-            sig
-        }
-        .is_signed());
-        assert!(Msg::XAcceptB {
-            d: Digest::ZERO,
-            attempt: 0,
-            cluster: ClusterId(0),
-            parent: Digest::ZERO,
-            node: NodeId(0),
-            sig
-        }
-        .is_signed());
-        assert!(!Msg::PaxosAccept {
-            ballot: Ballot::new(0, NodeId(0)),
-            parent: Digest::ZERO,
-            batch: batch()
-        }
-        .is_signed());
-        assert!(!Msg::Reply {
-            tx: TxId::new(ClientId(1), 0),
-            node: NodeId(0),
-            applied: true
-        }
-        .is_signed());
-    }
-
-    #[test]
-    fn digest_extraction() {
-        let t = tx();
-        let b = Batch::single(Arc::clone(&t));
-        let d = b.digest();
-        assert_eq!(
-            Msg::Request {
-                tx: Arc::clone(&t),
-                epoch: 0,
-                sig: Signature::unsigned(0)
-            }
-            .digest(),
-            Some(t.digest())
-        );
-        assert_eq!(
-            Msg::LoadReport {
-                cluster: ClusterId(0),
-                epoch: 0,
-                buckets: Vec::new()
-            }
-            .digest(),
-            None
-        );
-        assert_eq!(
-            Msg::PaxosAccept {
-                ballot: Ballot::new(0, NodeId(0)),
-                parent: Digest::ZERO,
-                batch: b.clone()
-            }
-            .digest(),
-            Some(d)
-        );
-        assert_eq!(
-            Msg::XAccept {
-                d,
-                attempt: 1,
-                cluster: ClusterId(2),
-                parent: Digest::ZERO,
-                height: 1,
-                node: NodeId(3)
-            }
-            .digest(),
-            Some(d)
-        );
-        assert_eq!(
-            Msg::Reply {
-                tx: t.id,
-                node: NodeId(0),
-                applied: true
-            }
-            .digest(),
-            None
-        );
     }
 
     #[test]
@@ -685,6 +523,11 @@ mod tests {
             vote_sign_bytes(b"prepare", 1, &d1, &d2),
             vote_sign_bytes(b"prepare", 1, &d2, &d2)
         );
+    }
+
+    #[test]
+    fn merging_the_cross_shard_families_did_not_grow_a_message() {
+        assert!(std::mem::size_of::<Msg>() <= 128);
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! are all-to-all among the involved clusters' nodes and quorums are `2f+1`
 //! per cluster, with every message signed.
 //!
+//! Both run on one message family (`XPropose`, `XAccept`, `XCommit`) and one
+//! handler per phase. The handlers share every check the models share; only
+//! what Algorithm 1 and 2 really do differently branches on the replica's
+//! failure model: the crash initiator's yield-or-buffer, stale-primary veto
+//! and lone commit, and the Byzantine signatures, early-vote parking and
+//! commit-vote count. Crash-model messages carry an unsigned placeholder.
+//!
 //! A cross-shard [`Batch`] holds transactions of one involved-cluster set.
 //! Overlapping proposals conflict on per-node reservations (a node that
 //! accepted a proposal buffers every other transaction until the commit);
@@ -26,7 +33,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Digest of a block's parents, used as the signing context of commit votes:
 /// the tag, then each `(cluster, digest)` in cluster order, streamed.
-fn parents_digest(parents: &Parents) -> Digest {
+pub(super) fn parents_digest(parents: &Parents) -> Digest {
     let mut h = Sha256::new();
     h.update(b"sharper-parents");
     for (cluster, digest) in parents.iter() {
@@ -145,26 +152,18 @@ impl Replica {
             batch: d.short_u64(),
             attempt: u64::from(attempt),
         });
-        if self.model() == FailureModel::Crash {
-            let propose = Msg::XPropose {
-                initiator,
-                attempt,
-                parent,
-                batch,
-            };
-            ctx.multicast(recipients, propose);
-            return;
-        }
-        let bytes = proposal_sign_bytes(initiator.0 as u64, &parent, &d);
-        let sig = self.signer.sign(&bytes);
-        self.charge_message(ctx, 0, 1);
-        let propose = Msg::XProposeB {
+        let sig = self.sign_cross(ctx, || proposal_sign_bytes(initiator.0 as u64, &parent, &d));
+        let propose = Msg::XPropose {
             initiator,
             attempt,
             parent,
             batch,
             sig,
         };
+        if self.model() == FailureModel::Crash {
+            ctx.multicast(recipients, propose);
+            return;
+        }
         ctx.multicast(recipients.clone(), propose);
         let bytes = vote_sign_bytes(b"xaccept", initiator.0 as u64, &parent, &d);
         let sig = self.signer.sign(&bytes);
@@ -176,15 +175,26 @@ impl Replica {
         ctx.trace(|| TraceKind::XAccept {
             batch: d.short_u64(),
         });
-        let accept = Msg::XAcceptB {
+        let accept = Msg::XAccept {
             d,
             attempt,
-            cluster: initiator,
             parent,
+            height,
             node: self.node,
             sig,
         };
         ctx.multicast(recipients, accept);
+    }
+
+    /// This replica's signature over `bytes()`, charged as one signing, in
+    /// the Byzantine model; the crash model sends the unsigned placeholder.
+    fn sign_cross(&self, ctx: &mut Context<Msg>, bytes: impl FnOnce() -> Vec<u8>) -> Signature {
+        if self.model() == FailureModel::Crash {
+            return Signature::unsigned(node_signer_id(self.node).0);
+        }
+        let sig = self.signer.sign(&bytes());
+        self.charge_message(ctx, 0, 1);
+        sig
     }
 
     /// Reserves this node for proposal `d` (§3.2): it starts no other
@@ -206,11 +216,11 @@ impl Replica {
         true
     }
 
-    // ------------------------------------------------------------------
-    // Algorithm 1: crash-only nodes
-    // ------------------------------------------------------------------
-
-    /// A node of an involved cluster receives the initiator's `propose`.
+    /// A node of an involved cluster receives the initiator's `propose`: it
+    /// tracks the round, reserves itself and answers with its `accept` (to
+    /// the initiator in the crash model, to every involved node in the
+    /// Byzantine one).
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn handle_xpropose(
         &mut self,
         from: ActorId,
@@ -218,12 +228,32 @@ impl Replica {
         attempt: u32,
         parent: Digest,
         batch: Batch,
+        sig: Signature,
         ctx: &mut Context<Msg>,
     ) {
-        if self.model() != FailureModel::Crash || batch.is_empty() {
+        if batch.is_empty() {
             return;
         }
         let d = batch.digest();
+        let byz = self.model() == FailureModel::Byzantine;
+        // Byzantine: every propose re-derives the claimed root over its
+        // transactions, each at most once (see `handle_pre_prepare`), and
+        // must be signed by the initiator cluster's primary.
+        let mut checked = None;
+        if byz {
+            if batch.has_duplicate_tx_ids() {
+                return;
+            }
+            let Some(verified) = VerifiedBatch::check(batch.clone()) else {
+                return;
+            };
+            let primary = self.primary_of(initiator);
+            let bytes = proposal_sign_bytes(initiator.0 as u64, &parent, &d);
+            if !self.verify_signed(ctx, node_signer_id(primary), &bytes, &sig) {
+                return;
+            }
+            checked = Some(verified);
+        }
         if self.log.any_committed(batch.tx_ids()) {
             return;
         }
@@ -231,11 +261,13 @@ impl Replica {
         if !involved.contains(&self.cluster) {
             return;
         }
-        // Deadlock avoidance: a primary initiating another batch yields to a
-        // higher-priority initiator (`cross_priority_key`) while it safely
-        // can (`yield_initiation`); otherwise the incoming proposal waits in
-        // the buffer — accepting it would vouch one position twice.
-        if let Some(own) = self.initiating.filter(|own| *own != d) {
+        // Deadlock avoidance (crash): a primary initiating another batch
+        // yields to a higher-priority initiator (`cross_priority_key`) while
+        // it safely can (`yield_initiation`); otherwise the incoming proposal
+        // waits in the buffer — accepting it would vouch one position twice.
+        // A Byzantine initiator never yields: its signed accept is already in
+        // flight, so `dispatch` keeps the proposal buffered.
+        if let Some(own) = self.initiating.filter(|own| !byz && *own != d) {
             if cross_priority_key(d, initiator) < cross_priority_key(own, self.cluster) {
                 self.yield_initiation(own, ctx);
             }
@@ -245,18 +277,19 @@ impl Replica {
                     attempt,
                     parent,
                     batch,
+                    sig,
                 };
                 self.buffered.push_back((from, propose));
                 return;
             }
         }
         // Track the round so a view change can take over uncommitted work. A
-        // first sight of the batch derives its root, the one derivation the
-        // commit relies on.
+        // crash replica derives the root on first sight of the batch, the one
+        // derivation the commit relies on.
         let round = match self.cross.entry(d) {
             Entry::Occupied(slot) => slot.into_mut(),
             Entry::Vacant(slot) => {
-                let Some(batch) = VerifiedBatch::check(batch) else {
+                let Some(batch) = checked.or_else(|| VerifiedBatch::check(batch)) else {
                     return;
                 };
                 slot.insert(CrossRound::new(batch, involved, initiator, attempt))
@@ -266,49 +299,94 @@ impl Replica {
         if !self.reserve(d, ctx) {
             return;
         }
+        let (my_parent, height) = (self.log.tail(), self.log.tail_height());
+        let cluster = self.cluster;
+        let sig = self.sign_cross(ctx, || {
+            vote_sign_bytes(b"xaccept", cluster.0 as u64, &my_parent, &d)
+        });
         ctx.trace(|| TraceKind::XAccept {
             batch: d.short_u64(),
         });
-        ctx.send(
-            from,
-            Msg::XAccept {
-                d,
-                attempt,
-                cluster: self.cluster,
-                parent: self.log.tail(),
-                height: self.log.tail_height(),
-                node: self.node,
-            },
-        );
+        let accept = Msg::XAccept {
+            d,
+            attempt,
+            parent: my_parent,
+            height,
+            node: self.node,
+            sig,
+        };
+        if !byz {
+            ctx.send(from, accept);
+            return;
+        }
+        // Byzantine accepts are all-to-all, this node's included in its own
+        // cluster's quorum.
+        let recipients = self.members_of_all_except_self(&self.cross[&d].involved);
+        let round = self.cross.get_mut(&d).expect("round exists");
+        round
+            .accepts
+            .entry(cluster)
+            .or_default()
+            .insert(self.node, (my_parent, height));
+        ctx.multicast(recipients, accept);
+        // Any votes that overtook the proposal can be counted now.
+        if let Some(early) = self.early_cross.remove(&d) {
+            for (from, msg) in early {
+                self.dispatch(from, msg, ctx);
+            }
+        }
+        self.try_send_xcommit(d, ctx);
     }
 
-    /// The initiator primary receives an `accept` from a node of an involved
-    /// cluster.
+    /// A node's `accept`, received by the initiator primary (crash) or by
+    /// every involved node (Byzantine). It counts towards the cluster the
+    /// configuration puts its signer in.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn handle_xaccept(
         &mut self,
+        from: ActorId,
         d: Digest,
         attempt: u32,
-        cluster: ClusterId,
         parent: Digest,
         height: u64,
         node: NodeId,
+        sig: Signature,
         ctx: &mut Context<Msg>,
     ) {
-        if self.model() != FailureModel::Crash {
+        let Ok(cluster) = self.cfg.system.cluster_of(node) else {
             return;
+        };
+        let byz = self.model() == FailureModel::Byzantine;
+        if byz {
+            let bytes = vote_sign_bytes(b"xaccept", cluster.0 as u64, &parent, &d);
+            if !self.verify_signed(ctx, node_signer_id(node), &bytes, &sig) {
+                return;
+            }
         }
         let am_primary = self.is_primary();
         let Some(round) = self.cross.get_mut(&d) else {
-            // A stale accept: tell the reserved responder the batch's fate,
-            // so one lost abort cannot wedge it forever.
-            self.answer_cross_fate(d, ActorId::Node(node), ctx);
+            if byz {
+                // The accept overtook the propose.
+                let accept = Msg::XAccept {
+                    d,
+                    attempt,
+                    parent,
+                    height,
+                    node,
+                    sig,
+                };
+                self.park_early(d, from, accept);
+            } else {
+                // A stale accept: tell the reserved responder the batch's
+                // fate, so one lost abort cannot wedge it forever.
+                self.answer_cross_fate(d, ActorId::Node(node), ctx);
+            }
             return;
         };
-        // A demoted initiator must not assemble a commit: the new primary
-        // re-initiates the round, and two commits could name different
-        // parents.
-        if round.initiator == self.cluster && !am_primary {
+        // A demoted crash initiator must not assemble a commit: the new
+        // primary re-initiates the round, and two commits could name
+        // different parents.
+        if !byz && round.initiator == self.cluster && !am_primary {
             return;
         }
         if round.sent_commit || round.attempt != attempt || !round.involved.contains(&cluster) {
@@ -319,176 +397,13 @@ impl Replica {
             .entry(cluster)
             .or_default()
             .insert(node, (parent, height));
-        let Some(parents) = self.assemble_parents(&self.cross[&d]) else {
-            return;
-        };
-        let round = self.cross.get_mut(&d).expect("round exists");
-        round.sent_commit = true;
-        round.parents = Some(parents.clone());
-        let round = &self.cross[&d];
-        let batch = round.batch.clone();
-        let commit = Msg::XCommit {
-            d,
-            parents: parents.clone(),
-            batch: Batch::clone(&batch),
-        };
-        ctx.multicast(self.members_of_all_except_self(&round.involved), commit);
-        self.initiating = None;
-        // The initiator primary executes, appends and replies to the clients.
-        self.close_cross(d, Some(VerifiedBlock::chain(batch, parents)), true, ctx);
+        self.try_send_xcommit(d, ctx);
     }
 
-    /// A node of an involved cluster receives the initiator's `commit`.
-    pub(super) fn handle_xcommit(
-        &mut self,
-        d: Digest,
-        parents: Parents,
-        batch: Batch,
-        ctx: &mut Context<Msg>,
-    ) {
-        if self.model() != FailureModel::Crash || batch.is_empty() {
-            return;
-        }
-        if parents.get(self.cluster).is_none() {
-            return;
-        }
-        // Only a replica that never saw the proposal derives the root.
-        let batch = match self.cross.get(&d) {
-            Some(round) => Some(round.batch.clone()),
-            None => self.verify_unseen_commit(batch),
-        };
-        let block = batch.map(|batch| VerifiedBlock::chain(batch, parents));
-        self.close_cross(d, block, false, ctx);
-    }
-
-    // ------------------------------------------------------------------
-    // Algorithm 2: Byzantine nodes
-    // ------------------------------------------------------------------
-
-    /// A node of an involved cluster receives the initiator's signed
-    /// `propose`.
-    pub(super) fn handle_xpropose_b(
-        &mut self,
-        initiator: ClusterId,
-        attempt: u32,
-        parent: Digest,
-        batch: Batch,
-        sig: Signature,
-        ctx: &mut Context<Msg>,
-    ) {
-        if self.model() != FailureModel::Byzantine || batch.is_empty() {
-            return;
-        }
-        let d = batch.digest();
-        // The claimed root must be the carried transactions', each at most
-        // once (see `handle_pre_prepare`).
-        if batch.has_duplicate_tx_ids() {
-            return;
-        }
-        let Some(batch) = VerifiedBatch::check(batch) else {
-            return;
-        };
-        // The proposal must be signed by the initiator cluster's primary.
-        let primary = self.primary_of(initiator);
-        let bytes = proposal_sign_bytes(initiator.0 as u64, &parent, &d);
-        if !self.verify_signed(ctx, node_signer_id(primary), &bytes, &sig) {
-            return;
-        }
-        if self.log.any_committed(batch.tx_ids()) {
-            return;
-        }
-        let involved = batch.involved_clusters(&self.pmap);
-        if !involved.contains(&self.cluster) {
-            return;
-        }
-        // A Byzantine initiator never yields: its signed accept is already
-        // in flight, so withdrawing could let two blocks share a parent.
-        self.cross
-            .entry(d)
-            .or_insert_with(|| CrossRound::new(batch, involved, initiator, attempt));
-        if !self.reserve(d, ctx) {
-            return;
-        }
-        let my_parent = self.log.tail();
-        let round = self.cross.get_mut(&d).expect("round exists");
-        round.attempt = attempt;
-        round
-            .accepts
-            .entry(self.cluster)
-            .or_default()
-            .insert(self.node, (my_parent, 0));
-        let recipients = self.members_of_all_except_self(&self.cross[&d].involved);
-        let bytes = vote_sign_bytes(b"xaccept", self.cluster.0 as u64, &my_parent, &d);
-        let sig = self.signer.sign(&bytes);
-        self.charge_message(ctx, 0, 1);
-        ctx.trace(|| TraceKind::XAccept {
-            batch: d.short_u64(),
-        });
-        let accept = Msg::XAcceptB {
-            d,
-            attempt,
-            cluster: self.cluster,
-            parent: my_parent,
-            node: self.node,
-            sig,
-        };
-        ctx.multicast(recipients, accept);
-        // Any votes that overtook the proposal can be counted now.
-        if let Some(early) = self.early_cross.remove(&d) {
-            for (from, msg) in early {
-                self.dispatch(from, msg, ctx);
-            }
-        }
-        self.try_send_xcommit_b(d, ctx);
-    }
-
-    /// A node receives another node's signed cross-shard `accept`.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn handle_xaccept_b(
-        &mut self,
-        from: ActorId,
-        d: Digest,
-        attempt: u32,
-        cluster: ClusterId,
-        parent: Digest,
-        node: NodeId,
-        sig: Signature,
-        ctx: &mut Context<Msg>,
-    ) {
-        if self.model() != FailureModel::Byzantine {
-            return;
-        }
-        let bytes = vote_sign_bytes(b"xaccept", cluster.0 as u64, &parent, &d);
-        if !self.verify_signed(ctx, node_signer_id(node), &bytes, &sig) {
-            return;
-        }
-        let Some(round) = self.cross.get_mut(&d) else {
-            // The accept overtook the propose.
-            let accept = Msg::XAcceptB {
-                d,
-                attempt,
-                cluster,
-                parent,
-                node,
-                sig,
-            };
-            self.park_early(d, from, accept);
-            return;
-        };
-        if round.attempt != attempt || !round.involved.contains(&cluster) {
-            return;
-        }
-        // No height: the stale-primary veto is crash-only (Byzantine safety
-        // rests on 2f+1 matching commit votes per cluster).
-        round
-            .accepts
-            .entry(cluster)
-            .or_default()
-            .insert(node, (parent, 0));
-        self.try_send_xcommit_b(d, ctx);
-    }
-
-    fn try_send_xcommit_b(&mut self, d: Digest, ctx: &mut Context<Msg>) {
+    /// Sends this replica's `commit` once the accept quorums assemble the
+    /// parents: the crash initiator's decision, which it appends at once, or
+    /// a Byzantine node's signed commit vote.
+    fn try_send_xcommit(&mut self, d: Digest, ctx: &mut Context<Msg>) {
         let Some(round) = self.cross.get(&d) else {
             return;
         };
@@ -498,53 +413,73 @@ impl Replica {
         let Some(parents) = self.assemble_parents(round) else {
             return;
         };
+        let byz = self.model() == FailureModel::Byzantine;
+        let (node, cluster) = (self.node, self.cluster);
         let round = self.cross.get_mut(&d).expect("round exists");
         round.sent_commit = true;
         round.parents = Some(parents.clone());
-        round
-            .commit_votes
-            .entry(self.cluster)
-            .or_default()
-            .insert(self.node);
+        if byz {
+            round.commit_votes.entry(cluster).or_default().insert(node);
+        }
+        let batch = round.batch.clone();
         let recipients = self.members_of_all_except_self(&self.cross[&d].involved);
-        let pd = parents_digest(&parents);
-        let sig = self
-            .signer
-            .sign(&vote_sign_bytes(b"xcommit", self.cluster.0 as u64, &pd, &d));
-        self.charge_message(ctx, 0, 1);
-        let commit = Msg::XCommitB {
-            d,
-            parents,
-            cluster: self.cluster,
-            node: self.node,
+        let sig = self.sign_cross(ctx, || {
+            vote_sign_bytes(b"xcommit", cluster.0 as u64, &parents_digest(&parents), &d)
+        });
+        let commit = Msg::XCommit {
+            parents: parents.clone(),
+            batch: Batch::clone(&batch),
+            node,
             sig,
         };
         ctx.multicast(recipients, commit);
-        self.try_finalize_cross_bft(d, ctx);
+        if byz {
+            self.try_finalize_cross_bft(d, ctx);
+            return;
+        }
+        self.initiating = None;
+        // The crash initiator primary executes, appends and replies to the
+        // clients.
+        self.close_cross(d, Some(VerifiedBlock::chain(batch, parents)), true, ctx);
     }
 
-    /// A node receives another node's signed cross-shard `commit`.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn handle_xcommit_b(
+    /// A node of an involved cluster receives a `commit`: the crash
+    /// initiator's decision, or one node's Byzantine commit vote (counted
+    /// towards its signer's cluster).
+    pub(super) fn handle_xcommit(
         &mut self,
         from: ActorId,
-        d: Digest,
         parents: Parents,
-        cluster: ClusterId,
+        batch: Batch,
         node: NodeId,
         sig: Signature,
         ctx: &mut Context<Msg>,
     ) {
-        if self.model() != FailureModel::Byzantine {
+        if batch.is_empty() || parents.get(self.cluster).is_none() {
             return;
         }
+        let d = batch.digest();
+        if self.model() == FailureModel::Crash {
+            // Only a replica that never saw the proposal derives the root.
+            let batch = match self.cross.get(&d) {
+                Some(round) => Some(round.batch.clone()),
+                None => self.verify_unseen_commit(batch),
+            };
+            let block = batch.map(|batch| VerifiedBlock::chain(batch, parents));
+            self.close_cross(d, block, false, ctx);
+            return;
+        }
+        let Ok(cluster) = self.cfg.system.cluster_of(node) else {
+            return;
+        };
         let pd = parents_digest(&parents);
         let bytes = vote_sign_bytes(b"xcommit", cluster.0 as u64, &pd, &d);
         if !self.verify_signed(ctx, node_signer_id(node), &bytes, &sig) {
             return;
         }
         // A vote for an unseen or unassembled round is kept for later; one
-        // for different parents (a Byzantine sender) is ignored.
+        // for different parents (a Byzantine sender) is ignored. The round's
+        // own batch is what commits, never the vote's.
         let early = match self.cross.get_mut(&d) {
             None => true,
             Some(round) if !round.involved.contains(&cluster) => return,
@@ -561,16 +496,17 @@ impl Replica {
             self.try_finalize_cross_bft(d, ctx);
             return;
         }
-        let commit = Msg::XCommitB {
-            d,
+        let commit = Msg::XCommit {
             parents,
-            cluster,
+            batch,
             node,
             sig,
         };
         self.park_early(d, from, commit);
     }
 
+    /// Byzantine: the round decides on `2f+1` matching commit votes from
+    /// every involved cluster.
     fn try_finalize_cross_bft(&mut self, d: Digest, ctx: &mut Context<Msg>) {
         let Some(round) = self.cross.get(&d) else {
             return;
@@ -578,7 +514,6 @@ impl Replica {
         if round.committed || round.parents.is_none() {
             return;
         }
-        // 2f+1 matching commits from every involved cluster.
         for cluster in &round.involved {
             let votes = round.commit_votes.get(cluster).map_or(0, |v| v.len());
             if votes < self.quorum_of(*cluster) {
@@ -669,8 +604,13 @@ impl Replica {
     }
 
     /// Parks a vote that arrived before its round could count it, until the
-    /// propose arrives (bounded: at most 256 per digest).
+    /// propose arrives (bounded: at most 256 per digest). A vote trailing a
+    /// batch this replica already appended is dropped: the round is gone and
+    /// no propose for it gets far enough to replay the vote.
     fn park_early(&mut self, d: Digest, from: ActorId, msg: Msg) {
+        if self.cross_blocks.contains_key(&d) {
+            return;
+        }
         let parked = self.early_cross.entry(d).or_default();
         if parked.len() < 256 {
             parked.push((from, msg));

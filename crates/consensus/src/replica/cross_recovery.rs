@@ -6,11 +6,11 @@
 //! up and withdraws the batch with an `XAbort`; a node holding a reservation
 //! too long probes the initiator cluster for the batch's fate.
 
-use super::{Replica, Reservation};
+use super::{node_signer_id, Replica, Reservation};
 use crate::messages::{timer_tags, Msg};
 use crate::timeouts;
 use sharper_common::{ClusterId, Duration, FailureModel, NodeId, TraceKind};
-use sharper_crypto::Digest;
+use sharper_crypto::{Digest, Signature};
 use sharper_net::{ActorId, Context, TimerId};
 
 /// Retransmission state for an `XAbort` the initiator announced after giving
@@ -176,11 +176,6 @@ impl Replica {
                 batch,
                 initiator: proposer,
                 ..
-            }
-            | Msg::XProposeB {
-                batch,
-                initiator: proposer,
-                ..
             } => !(*proposer == initiator && batch.digest() == d),
             _ => true,
         });
@@ -259,7 +254,6 @@ impl Replica {
             .map(ActorId::Node);
         let probe = Msg::XStatus {
             d: res.d,
-            cluster: self.cluster,
             node: self.node,
         };
         ctx.multicast(members, probe);
@@ -280,14 +274,13 @@ impl Replica {
         if let Some(block_digest) = self.cross_blocks.get(&d).copied() {
             if let Some(block) = self.log.ledger().block(block_digest) {
                 if let Some(batch) = block.body_batch() {
-                    ctx.send(
-                        to,
-                        Msg::XCommit {
-                            d,
-                            parents: block.parents.clone(),
-                            batch: batch.clone(),
-                        },
-                    );
+                    let commit = Msg::XCommit {
+                        parents: block.parents.clone(),
+                        batch: batch.clone(),
+                        node: self.node,
+                        sig: Signature::unsigned(node_signer_id(self.node).0),
+                    };
+                    ctx.send(to, commit);
                     return;
                 }
             }

@@ -506,7 +506,7 @@ impl Replica {
         sig: Signature,
         ctx: &mut Context<Msg>,
     ) {
-        if self.model() != FailureModel::Byzantine || view != self.view {
+        if self.model() != FailureModel::Byzantine || view != self.view || !self.is_member(node) {
             return;
         }
         let bytes = vote_sign_bytes(b"prepare", view, &parent, &d);
@@ -576,7 +576,7 @@ impl Replica {
         sig: Signature,
         ctx: &mut Context<Msg>,
     ) {
-        if self.model() != FailureModel::Byzantine || view != self.view {
+        if self.model() != FailureModel::Byzantine || view != self.view || !self.is_member(node) {
             return;
         }
         let bytes = vote_sign_bytes(b"commit", view, &parent, &d);

@@ -7,8 +7,9 @@
 //! * `client`: the client plane — request routing, the primary-side
 //!   batching layer, execution and replies;
 //! * `intra`: the intra-shard engine of its cluster (Paxos or PBFT);
-//! * `cross`: the flattened cross-shard engine (Algorithm 1 or 2), and
-//!   `cross_recovery` its retry, withdrawal and fate-probe paths;
+//! * `cross`: the flattened cross-shard engine, one handler per phase for
+//!   both Algorithm 1 and 2, and `cross_recovery` its retry, withdrawal and
+//!   fate-probe paths;
 //! * `view_change`: the view-change sub-protocol;
 //! * `reshard`: dynamic resharding of the shard's [`PartitionedStore`].
 //!
@@ -340,6 +341,12 @@ impl Replica {
             .expect("cluster exists")
     }
 
+    /// Whether `node` belongs to this replica's cluster: only members vote
+    /// in its intra-shard and view-change quorums.
+    fn is_member(&self, node: NodeId) -> bool {
+        self.cfg.system.cluster_of(node).ok() == Some(self.cluster)
+    }
+
     fn cluster_members(&self, cluster: ClusterId) -> Vec<NodeId> {
         self.cfg
             .system
@@ -427,7 +434,10 @@ impl Replica {
                 // for must be processed, not buffered. Deadlock avoidance
                 // (crash model only): an initiating primary yields to
                 // proposals that precede its own in `cross_priority_key`
-                // order.
+                // order. A Byzantine initiator's signed accept is already in
+                // flight, so it must not vouch a second proposal for the
+                // same chain position; such proposals stay buffered until
+                // its own commits.
                 Msg::XPropose {
                     batch, initiator, ..
                 } => {
@@ -441,14 +451,6 @@ impl Replica {
                         });
                     same_reserved || higher_priority
                 }
-                // A Byzantine initiator's signed accept is already in
-                // flight, so it must not vouch a second proposal for the
-                // same chain position; such proposals stay buffered until
-                // its own commits.
-                Msg::XProposeB { batch, .. } => self
-                    .reservation
-                    .as_ref()
-                    .is_some_and(|res| res.d == batch.digest()),
                 _ => false,
             };
             if !pass_through {
@@ -514,41 +516,24 @@ impl Replica {
                 attempt,
                 parent,
                 batch,
-            } => self.handle_xpropose(from, initiator, attempt, parent, batch, ctx),
+                sig,
+            } => self.handle_xpropose(from, initiator, attempt, parent, batch, sig, ctx),
             Msg::XAccept {
                 d,
                 attempt,
-                cluster,
                 parent,
                 height,
                 node,
-            } => self.handle_xaccept(d, attempt, cluster, parent, height, node, ctx),
-            Msg::XCommit { d, parents, batch } => self.handle_xcommit(d, parents, batch, ctx),
-            Msg::XAbort { d, initiator } => self.handle_xabort(d, initiator, ctx),
-            Msg::XStatus { d, node, .. } => self.handle_xstatus(d, node, ctx),
-
-            Msg::XProposeB {
-                initiator,
-                attempt,
-                parent,
-                batch,
                 sig,
-            } => self.handle_xpropose_b(initiator, attempt, parent, batch, sig, ctx),
-            Msg::XAcceptB {
-                d,
-                attempt,
-                cluster,
-                parent,
-                node,
-                sig,
-            } => self.handle_xaccept_b(from, d, attempt, cluster, parent, node, sig, ctx),
-            Msg::XCommitB {
-                d,
+            } => self.handle_xaccept(from, d, attempt, parent, height, node, sig, ctx),
+            Msg::XCommit {
                 parents,
-                cluster,
+                batch,
                 node,
                 sig,
-            } => self.handle_xcommit_b(from, d, parents, cluster, node, sig, ctx),
+            } => self.handle_xcommit(from, parents, batch, node, sig, ctx),
+            Msg::XAbort { d, initiator } => self.handle_xabort(d, initiator, ctx),
+            Msg::XStatus { d, node } => self.handle_xstatus(d, node, ctx),
 
             Msg::ViewChange {
                 cluster,

@@ -458,6 +458,7 @@ fn reserved_replica_buffers_new_transactions_until_commit() {
             attempt: 0,
             parent: net.replica(0).ledger().head(),
             batch: xbatch.clone(),
+            sig: Signature::unsigned(0),
         },
     );
     // Deliver it and drop the produced accept (do not run the full network).
@@ -508,9 +509,10 @@ fn reserved_replica_buffers_new_transactions_until_commit() {
         replica.on_message(
             ActorId::Node(NodeId(0)),
             Msg::XCommit {
-                d,
                 parents: parents.unwrap(),
                 batch: xbatch,
+                node: NodeId(0),
+                sig: Signature::unsigned(0),
             },
             &mut ctx,
         );
@@ -569,17 +571,13 @@ fn xstatus_probe_is_answered_with_the_cross_shard_fate() {
         let mut ctx = Context::detached(SimTime::from_millis(1), ActorId::Node(NodeId(0)));
         member.on_message(
             ActorId::Node(NodeId(4)),
-            Msg::XStatus {
-                d,
-                cluster: ClusterId(1),
-                node: NodeId(4),
-            },
+            Msg::XStatus { d, node: NodeId(4) },
             &mut ctx,
         );
         assert!(
             ctx.take_outbox().iter().any(|(to, m)| {
                 *to == ActorId::Node(NodeId(4))
-                    && matches!(m, Msg::XCommit { d: answered, .. } if *answered == d)
+                    && matches!(m, Msg::XCommit { batch, .. } if batch.digest() == d)
             }),
             "a committed batch must be re-announced to the probing node"
         );
@@ -595,7 +593,6 @@ fn xstatus_probe_is_answered_with_the_cross_shard_fate() {
             ActorId::Node(NodeId(4)),
             Msg::XStatus {
                 d: unknown,
-                cluster: ClusterId(1),
                 node: NodeId(4),
             },
             &mut ctx,
@@ -615,7 +612,6 @@ fn xstatus_probe_is_answered_with_the_cross_shard_fate() {
             ActorId::Node(NodeId(4)),
             Msg::XStatus {
                 d: unknown,
-                cluster: ClusterId(1),
                 node: NodeId(4),
             },
             &mut ctx,
@@ -714,6 +710,154 @@ fn cross_shard_bft_three_cluster_transaction() {
             .balance(AccountId(2 * ACCOUNTS_PER_SHARD + 3)),
         Some(INITIAL_BALANCE + 3)
     );
+}
+
+#[test]
+fn a_late_byzantine_vote_for_a_committed_batch_is_dropped_not_parked() {
+    let cfg = test_config(FailureModel::Byzantine, 2, 1);
+    let mut net = TestNet::new(Arc::clone(&cfg));
+    let tx = cross_tx(0, 1);
+    let batch = Batch::single(tx.clone());
+    let d = batch.digest();
+    net.submit(tx);
+    net.run();
+    // Every replica decided on its first 2f+1 commit votes per cluster; the
+    // votes trailing them found the round gone.
+    for node in 0..8u32 {
+        let r = net.replica(node);
+        assert_eq!(r.committed_count(), 1, "replica {node}");
+        assert!(r.early_cross.is_empty(), "replica {node}");
+    }
+    // A retransmitted, validly signed commit vote is dropped too.
+    let head = net.replica(4).ledger().head();
+    let parents = net.replica(4).ledger().block(head).unwrap().parents.clone();
+    let pd = cross::parents_digest(&parents);
+    let vote = Msg::XCommit {
+        parents,
+        batch,
+        node: NodeId(1),
+        sig: sign_as(&cfg, 1, &vote_sign_bytes(b"xcommit", 0, &pd, &d)),
+    };
+    assert!(deliver(&mut net, ActorId::Node(NodeId(1)), 4, vote).is_empty());
+    assert!(net.replica(4).early_cross.is_empty());
+}
+
+#[test]
+fn a_byzantine_replica_ignores_crash_form_cross_shard_messages() {
+    let cfg = test_config(FailureModel::Byzantine, 2, 1);
+    let mut net = TestNet::new(cfg);
+    let genesis = net.replica(4).ledger().head();
+    let batch = Batch::single(cross_tx(0, 1));
+    let d = batch.digest();
+    let parents = Parents::new([(ClusterId(0), genesis), (ClusterId(1), genesis)]).unwrap();
+    // The crash model's unsigned placeholder, as its primary would send it.
+    let sig = Signature::unsigned(node_signer_id(NodeId(0)).0);
+    let crash_form = [
+        Msg::XPropose {
+            initiator: ClusterId(0),
+            attempt: 0,
+            parent: genesis,
+            batch: batch.clone(),
+            sig,
+        },
+        Msg::XAccept {
+            d,
+            attempt: 0,
+            parent: genesis,
+            height: 1,
+            node: NodeId(0),
+            sig,
+        },
+        Msg::XCommit {
+            parents,
+            batch,
+            node: NodeId(0),
+            sig,
+        },
+    ];
+    for msg in crash_form {
+        let out = deliver(&mut net, ActorId::Node(NodeId(0)), 4, msg);
+        assert!(out.is_empty());
+        assert_untouched(&net, 4);
+        assert!(net.replica(4).early_cross.is_empty());
+    }
+}
+
+#[test]
+fn a_cross_shard_accept_counts_towards_its_signers_cluster_only() {
+    let cfg = test_config(FailureModel::Byzantine, 3, 1);
+    let mut net = TestNet::new(Arc::clone(&cfg));
+    let genesis = net.replica(4).ledger().head();
+    let batch = Batch::single(cross_tx(0, 1));
+    let d = batch.digest();
+    let propose = Msg::XPropose {
+        initiator: ClusterId(0),
+        attempt: 0,
+        parent: genesis,
+        batch,
+        sig: sign_as(&cfg, 0, &proposal_sign_bytes(0, &genesis, &d)),
+    };
+    deliver(&mut net, ActorId::Node(NodeId(0)), 4, propose);
+    let accept = |node: u32, claimed: u64| Msg::XAccept {
+        d,
+        attempt: 0,
+        parent: genesis,
+        height: 1,
+        node: NodeId(node),
+        sig: sign_as(
+            &cfg,
+            node,
+            &vote_sign_bytes(b"xaccept", claimed, &genesis, &d),
+        ),
+    };
+    // Node 8 of the uninvolved cluster 2 signs for cluster 1, then for its
+    // own cluster: neither vote counts.
+    for claimed in [1, 2] {
+        deliver(&mut net, ActorId::Node(NodeId(8)), 4, accept(8, claimed));
+    }
+    let accepts = &net.replica(4).cross[&d].accepts;
+    assert!(accepts
+        .values()
+        .all(|votes| !votes.contains_key(&NodeId(8))));
+    // Control: a member of cluster 1 signing the same bytes is counted.
+    deliver(&mut net, ActorId::Node(NodeId(5)), 4, accept(5, 1));
+    assert!(net.replica(4).cross[&d].accepts[&ClusterId(1)].contains_key(&NodeId(5)));
+}
+
+#[test]
+fn pbft_votes_from_another_cluster_are_not_counted() {
+    let cfg = test_config(FailureModel::Byzantine, 2, 1);
+    let mut net = TestNet::new(Arc::clone(&cfg));
+    let genesis = net.replica(1).ledger().head();
+    let batch = Batch::single(intra_tx(0));
+    let d = batch.digest();
+    let n0 = ActorId::Node(NodeId(0));
+    deliver(&mut net, n0, 1, pre_prepare(&cfg, 0, 0, genesis, &batch));
+    // Node 4 of cluster 1 votes validly signed; node 2 of cluster 0 is the
+    // control.
+    for node in [4, 2] {
+        let sig = |label: &[u8]| sign_as(&cfg, node, &vote_sign_bytes(label, 0, &genesis, &d));
+        let from = ActorId::Node(NodeId(node));
+        let prepare = Msg::Prepare {
+            view: 0,
+            parent: genesis,
+            d,
+            node: NodeId(node),
+            sig: sig(b"prepare"),
+        };
+        deliver(&mut net, from, 1, prepare);
+        let commit = Msg::PbftCommit {
+            view: 0,
+            parent: genesis,
+            d,
+            node: NodeId(node),
+            sig: sig(b"commit"),
+        };
+        deliver(&mut net, from, 1, commit);
+    }
+    let round = &net.replica(1).intra[&d];
+    assert!(!round.prepares.contains(&NodeId(4)) && !round.commits.contains(&NodeId(4)));
+    assert!(round.prepares.contains(&NodeId(2)) && round.commits.contains(&NodeId(2)));
 }
 
 // ---------------------------------------------------------------------
@@ -1708,6 +1852,32 @@ fn install_view_drops_parked_blocks_whose_transactions_all_committed() {
 }
 
 #[test]
+fn a_view_change_vote_from_another_cluster_is_not_counted() {
+    let cfg = test_config(FailureModel::Crash, 2, 1);
+    let mut net = TestNet::new(cfg);
+    let vote = |node: u32| Msg::ViewChange {
+        cluster: ClusterId(0),
+        new_view: 1,
+        node: NodeId(node),
+        accepted: vec![],
+        prepared: vec![],
+        chain_len: 0,
+        sig: Signature::unsigned(0),
+    };
+    // Node 3 belongs to cluster 1: with node 2's vote it would make the f+1
+    // quorum that installs node 1 as cluster 0's primary.
+    for node in [3, 2] {
+        deliver(&mut net, ActorId::Node(NodeId(node)), 1, vote(node));
+    }
+    let replica = net.replica(1);
+    assert_eq!(replica.view(), 0);
+    assert_eq!(
+        replica.vc_votes[&1].keys().copied().collect::<Vec<_>>(),
+        [NodeId(2)]
+    );
+}
+
+#[test]
 fn a_new_primary_restarts_the_first_of_its_initiator_rounds_in_priority_order() {
     let cfg = test_config(FailureModel::Crash, 2, 1);
     let vote = |node: u32| Msg::ViewChange {
@@ -1922,87 +2092,77 @@ fn a_forged_batch_in_a_new_view_certificate_is_refused() {
 
 #[test]
 fn a_forged_batch_in_a_cross_shard_propose_or_commit_is_never_appended() {
-    let cfg = test_config(FailureModel::Crash, 2, 1);
-    let mut net = TestNet::new(cfg);
-    let genesis = net.replica(3).ledger().head();
-    let honest = batch_of([cross_tx(0, 1), cross_tx(1, 1)]);
-    let forged = forge(&honest, cross_tx(77, 1));
-    let d = honest.digest();
-    let n0 = ActorId::Node(NodeId(0));
-    let parents = Parents::new([(ClusterId(0), genesis), (ClusterId(1), genesis)]).unwrap();
-    let propose = |batch: &Batch| Msg::XPropose {
-        initiator: ClusterId(0),
-        attempt: 0,
-        parent: genesis,
-        batch: batch.clone(),
-    };
-    let commit = |batch: &Batch| Msg::XCommit {
-        d,
-        parents: parents.clone(),
-        batch: batch.clone(),
-    };
-    let expected = Block::batch(honest.clone(), parents.clone());
+    for model in [FailureModel::Crash, FailureModel::Byzantine] {
+        let cfg = test_config(model, 2, 1);
+        let mut net = TestNet::new(Arc::clone(&cfg));
+        // Two members of cluster 1: one sees the propose, one does not.
+        let [seen, unseen] = [0, 1].map(|i| cfg.system.members(ClusterId(1)).unwrap()[i].0);
+        let genesis = net.replica(seen).ledger().head();
+        let honest = batch_of([cross_tx(0, 1), cross_tx(1, 1)]);
+        let forged = forge(&honest, cross_tx(77, 1));
+        let d = honest.digest();
+        let n0 = ActorId::Node(NodeId(0));
+        // Byzantine: signed by the initiator cluster's primary over the
+        // claimed digest, so only the root derivation exposes the forgery.
+        let sig = match model {
+            FailureModel::Crash => Signature::unsigned(0),
+            FailureModel::Byzantine => sign_as(&cfg, 0, &proposal_sign_bytes(0, &genesis, &d)),
+        };
+        let propose = |batch: &Batch| Msg::XPropose {
+            initiator: ClusterId(0),
+            attempt: 0,
+            parent: genesis,
+            batch: batch.clone(),
+            sig,
+        };
 
-    // Forged propose: no accept, no reservation, no round. Forged commit
-    // with no round: nothing appended.
-    assert!(deliver(&mut net, n0, 3, propose(&forged)).is_empty());
-    assert!(deliver(&mut net, n0, 3, commit(&forged)).is_empty());
-    assert_untouched(&net, 3);
+        // Forged propose: no accept, no reservation, no round.
+        assert!(deliver(&mut net, n0, seen, propose(&forged)).is_empty());
+        assert_untouched(&net, seen);
+        // The honest proposal is accepted by the same replica.
+        let out = deliver(&mut net, n0, seen, propose(&honest));
+        assert!(out
+            .iter()
+            .any(|(_, m)| matches!(m, Msg::XAccept { d: voted, .. } if *voted == d)));
+        if model == FailureModel::Byzantine {
+            // An ordinary Byzantine cross-shard round commits everywhere.
+            let mut net = TestNet::new(cfg);
+            net.submit(cross_tx(0, 1));
+            net.run();
+            for node in 0..8u32 {
+                assert_eq!(net.replica(node).committed_count(), 1, "replica {node}");
+            }
+            continue;
+        }
 
-    // Honest propose, then a commit smuggling the forgery under the same
-    // digest: the replica appends the batch it verified.
-    let out = deliver(&mut net, n0, 3, propose(&honest));
-    assert!(out
-        .iter()
-        .any(|(_, m)| matches!(m, Msg::XAccept { d: voted, .. } if *voted == d)));
-    deliver(&mut net, n0, 3, commit(&forged));
-    assert_eq!(
-        net.replica(3).ledger().block(expected.digest()),
-        Some(&expected)
-    );
-    assert_eq!(net.replica(3).stats().committed_cross, 2);
-    net.replica(3).ledger().verify_chain().unwrap();
-    assert!(
-        net.replica(3).is_idle(),
-        "the commit released the reservation"
-    );
-
-    // An honest commit reaching a replica that never saw the propose commits.
-    deliver(&mut net, n0, 4, commit(&honest));
-    assert_eq!(net.replica(4).ledger().head(), expected.digest());
-}
-
-#[test]
-fn a_forged_batch_in_a_byzantine_cross_shard_propose_is_never_appended() {
-    let cfg = test_config(FailureModel::Byzantine, 2, 1);
-    let mut net = TestNet::new(Arc::clone(&cfg));
-    let genesis = net.replica(4).ledger().head();
-    let honest = batch_of([cross_tx(0, 1), cross_tx(1, 1)]);
-    let forged = forge(&honest, cross_tx(77, 1));
-    let d = honest.digest();
-    // Signed by the initiator cluster's primary over the claimed digest.
-    let propose = |batch: &Batch| Msg::XProposeB {
-        initiator: ClusterId(0),
-        attempt: 0,
-        parent: genesis,
-        batch: batch.clone(),
-        sig: sign_as(&cfg, 0, &proposal_sign_bytes(0, &genesis, &d)),
-    };
-    let n0 = ActorId::Node(NodeId(0));
-    assert!(deliver(&mut net, n0, 4, propose(&forged)).is_empty());
-    assert_untouched(&net, 4);
-
-    // The honest proposal is accepted by the same replica ...
-    let out = deliver(&mut net, n0, 4, propose(&honest));
-    assert!(out
-        .iter()
-        .any(|(_, m)| matches!(m, Msg::XAcceptB { d: voted, .. } if *voted == d)));
-    // ... and an ordinary Byzantine cross-shard round commits everywhere.
-    let mut net = TestNet::new(cfg);
-    net.submit(cross_tx(0, 1));
-    net.run();
-    for node in 0..8u32 {
-        assert_eq!(net.replica(node).committed_count(), 1, "replica {node}");
+        // Crash: a commit smuggling the forgery under the same digest cannot
+        // swap the payload — the replica appends the batch it verified. A
+        // forged commit reaching a replica with no round appends nothing.
+        let parents = Parents::new([(ClusterId(0), genesis), (ClusterId(1), genesis)]).unwrap();
+        let commit = |batch: &Batch| Msg::XCommit {
+            parents: parents.clone(),
+            batch: batch.clone(),
+            node: NodeId(0),
+            sig,
+        };
+        let expected = Block::batch(honest.clone(), parents.clone());
+        assert!(deliver(&mut net, n0, unseen, commit(&forged)).is_empty());
+        assert_untouched(&net, unseen);
+        deliver(&mut net, n0, seen, commit(&forged));
+        assert_eq!(
+            net.replica(seen).ledger().block(expected.digest()),
+            Some(&expected)
+        );
+        assert_eq!(net.replica(seen).stats().committed_cross, 2);
+        net.replica(seen).ledger().verify_chain().unwrap();
+        assert!(
+            net.replica(seen).is_idle(),
+            "the commit released the reservation"
+        );
+        // An honest commit reaching a replica that never saw the propose
+        // commits.
+        deliver(&mut net, n0, unseen, commit(&honest));
+        assert_eq!(net.replica(unseen).ledger().head(), expected.digest());
     }
 }
 

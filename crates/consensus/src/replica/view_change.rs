@@ -208,7 +208,7 @@ impl Replica {
         sig: Signature,
         ctx: &mut Context<Msg>,
     ) {
-        if cluster != self.cluster || new_view <= self.view {
+        if cluster != self.cluster || new_view <= self.view || !self.is_member(node) {
             return;
         }
         if self.model().requires_signatures() {
