@@ -2092,77 +2092,96 @@ fn a_forged_batch_in_a_new_view_certificate_is_refused() {
 
 #[test]
 fn a_forged_batch_in_a_cross_shard_propose_or_commit_is_never_appended() {
-    for model in [FailureModel::Crash, FailureModel::Byzantine] {
-        let cfg = test_config(model, 2, 1);
-        let mut net = TestNet::new(Arc::clone(&cfg));
-        // Two members of cluster 1: one sees the propose, one does not.
-        let [seen, unseen] = [0, 1].map(|i| cfg.system.members(ClusterId(1)).unwrap()[i].0);
-        let genesis = net.replica(seen).ledger().head();
-        let honest = batch_of([cross_tx(0, 1), cross_tx(1, 1)]);
-        let forged = forge(&honest, cross_tx(77, 1));
-        let d = honest.digest();
-        let n0 = ActorId::Node(NodeId(0));
-        // Byzantine: signed by the initiator cluster's primary over the
-        // claimed digest, so only the root derivation exposes the forgery.
-        let sig = match model {
-            FailureModel::Crash => Signature::unsigned(0),
-            FailureModel::Byzantine => sign_as(&cfg, 0, &proposal_sign_bytes(0, &genesis, &d)),
-        };
-        let propose = |batch: &Batch| Msg::XPropose {
-            initiator: ClusterId(0),
-            attempt: 0,
-            parent: genesis,
-            batch: batch.clone(),
-            sig,
-        };
+    let cfg = test_config(FailureModel::Crash, 2, 1);
+    let mut net = TestNet::new(Arc::clone(&cfg));
+    // Two members of cluster 1: one sees the propose, one does not.
+    let [seen, unseen] = [0, 1].map(|i| cfg.system.members(ClusterId(1)).unwrap()[i].0);
+    let genesis = net.replica(seen).ledger().head();
+    let honest = batch_of([cross_tx(0, 1), cross_tx(1, 1)]);
+    let forged = forge(&honest, cross_tx(77, 1));
+    let d = honest.digest();
+    let n0 = ActorId::Node(NodeId(0));
+    let sig = Signature::unsigned(0);
+    let propose = |batch: &Batch| Msg::XPropose {
+        initiator: ClusterId(0),
+        attempt: 0,
+        parent: genesis,
+        batch: batch.clone(),
+        sig,
+    };
 
-        // Forged propose: no accept, no reservation, no round.
-        assert!(deliver(&mut net, n0, seen, propose(&forged)).is_empty());
-        assert_untouched(&net, seen);
-        // The honest proposal is accepted by the same replica.
-        let out = deliver(&mut net, n0, seen, propose(&honest));
-        assert!(out
-            .iter()
-            .any(|(_, m)| matches!(m, Msg::XAccept { d: voted, .. } if *voted == d)));
-        if model == FailureModel::Byzantine {
-            // An ordinary Byzantine cross-shard round commits everywhere.
-            let mut net = TestNet::new(cfg);
-            net.submit(cross_tx(0, 1));
-            net.run();
-            for node in 0..8u32 {
-                assert_eq!(net.replica(node).committed_count(), 1, "replica {node}");
-            }
-            continue;
-        }
+    // Forged propose: no accept, no reservation, no round.
+    assert!(deliver(&mut net, n0, seen, propose(&forged)).is_empty());
+    assert_untouched(&net, seen);
+    // The honest proposal is accepted by the same replica.
+    let out = deliver(&mut net, n0, seen, propose(&honest));
+    assert!(out
+        .iter()
+        .any(|(_, m)| matches!(m, Msg::XAccept { d: voted, .. } if *voted == d)));
 
-        // Crash: a commit smuggling the forgery under the same digest cannot
-        // swap the payload — the replica appends the batch it verified. A
-        // forged commit reaching a replica with no round appends nothing.
-        let parents = Parents::new([(ClusterId(0), genesis), (ClusterId(1), genesis)]).unwrap();
-        let commit = |batch: &Batch| Msg::XCommit {
-            parents: parents.clone(),
-            batch: batch.clone(),
-            node: NodeId(0),
-            sig,
-        };
-        let expected = Block::batch(honest.clone(), parents.clone());
-        assert!(deliver(&mut net, n0, unseen, commit(&forged)).is_empty());
-        assert_untouched(&net, unseen);
-        deliver(&mut net, n0, seen, commit(&forged));
-        assert_eq!(
-            net.replica(seen).ledger().block(expected.digest()),
-            Some(&expected)
-        );
-        assert_eq!(net.replica(seen).stats().committed_cross, 2);
-        net.replica(seen).ledger().verify_chain().unwrap();
-        assert!(
-            net.replica(seen).is_idle(),
-            "the commit released the reservation"
-        );
-        // An honest commit reaching a replica that never saw the propose
-        // commits.
-        deliver(&mut net, n0, unseen, commit(&honest));
-        assert_eq!(net.replica(unseen).ledger().head(), expected.digest());
+    // A commit smuggling the forgery under the same digest cannot swap the
+    // payload — the replica appends the batch it verified. A forged commit
+    // reaching a replica with no round appends nothing.
+    let parents = Parents::new([(ClusterId(0), genesis), (ClusterId(1), genesis)]).unwrap();
+    let commit = |batch: &Batch| Msg::XCommit {
+        parents: parents.clone(),
+        batch: batch.clone(),
+        node: NodeId(0),
+        sig,
+    };
+    let expected = Block::batch(honest.clone(), parents.clone());
+    assert!(deliver(&mut net, n0, unseen, commit(&forged)).is_empty());
+    assert_untouched(&net, unseen);
+    deliver(&mut net, n0, seen, commit(&forged));
+    assert_eq!(
+        net.replica(seen).ledger().block(expected.digest()),
+        Some(&expected)
+    );
+    assert_eq!(net.replica(seen).stats().committed_cross, 2);
+    net.replica(seen).ledger().verify_chain().unwrap();
+    assert!(
+        net.replica(seen).is_idle(),
+        "the commit released the reservation"
+    );
+    // An honest commit reaching a replica that never saw the propose
+    // commits.
+    deliver(&mut net, n0, unseen, commit(&honest));
+    assert_eq!(net.replica(unseen).ledger().head(), expected.digest());
+}
+
+#[test]
+fn a_forged_batch_in_a_byzantine_cross_shard_propose_is_never_appended() {
+    let cfg = test_config(FailureModel::Byzantine, 2, 1);
+    let mut net = TestNet::new(Arc::clone(&cfg));
+    let seen = cfg.system.members(ClusterId(1)).unwrap()[0].0;
+    let genesis = net.replica(seen).ledger().head();
+    let honest = batch_of([cross_tx(0, 1), cross_tx(1, 1)]);
+    let forged = forge(&honest, cross_tx(77, 1));
+    let d = honest.digest();
+    // Signed by the initiator cluster's primary over the claimed digest, so
+    // only the root derivation exposes the forgery.
+    let propose = |batch: &Batch| Msg::XPropose {
+        initiator: ClusterId(0),
+        attempt: 0,
+        parent: genesis,
+        batch: batch.clone(),
+        sig: sign_as(&cfg, 0, &proposal_sign_bytes(0, &genesis, &d)),
+    };
+    let n0 = ActorId::Node(NodeId(0));
+    assert!(deliver(&mut net, n0, seen, propose(&forged)).is_empty());
+    assert_untouched(&net, seen);
+
+    // The honest proposal is accepted by the same replica ...
+    let out = deliver(&mut net, n0, seen, propose(&honest));
+    assert!(out
+        .iter()
+        .any(|(_, m)| matches!(m, Msg::XAccept { d: voted, .. } if *voted == d)));
+    // ... and an ordinary Byzantine cross-shard round commits everywhere.
+    let mut net = TestNet::new(cfg);
+    net.submit(cross_tx(0, 1));
+    net.run();
+    for node in 0..8u32 {
+        assert_eq!(net.replica(node).committed_count(), 1, "replica {node}");
     }
 }
 
