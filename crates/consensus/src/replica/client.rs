@@ -14,7 +14,7 @@ use sharper_crypto::keys::SignerId;
 use sharper_crypto::{hash, Signature};
 use sharper_ledger::{Batch, VerifiedBatch, VerifiedBlock};
 use sharper_net::{ActorId, Context, TimerId};
-use sharper_state::{ExecutionOutcome, Transaction};
+use sharper_state::{ExecPlan, ExecutionOutcome, Transaction};
 use std::sync::Arc;
 
 impl Replica {
@@ -288,23 +288,28 @@ impl Replica {
         ctx.charge(self.cfg.cost.execution_batch(batch.len()));
         // The batch applies atomically in order; the partitioned scheduler
         // merges outcomes back in batch order, so both paths are
-        // bit-identical. Reshard control transactions span every partition
-        // and always take the serial path.
+        // bit-identical. With one executor thread the scheduler would only
+        // reorder the same work on this thread, so the batch applies
+        // serially; the plan is built for the trace alone. Reshard control
+        // transactions span every partition and always take the serial path.
         let has_reshard = batch.txs().iter().any(|tx| tx.is_reshard());
-        let outcomes = if self.cfg.exec.is_partitioned() && !has_reshard {
-            let applied = self.executor.apply_batch_partitioned(
-                &mut self.store,
-                batch.txs(),
-                self.cfg.exec.exec_threads,
-            );
-            ctx.trace(|| TraceKind::ExecPlan {
-                batch: batch.digest().short_u64(),
-                partitions: applied.active_partitions as u64,
-                steps: applied.total_steps as u64,
-                max_queue_depth: applied.max_queue_depth as u64,
-                makespan_units: applied.makespan_units,
+        let partitioned = self.cfg.exec.is_partitioned() && !has_reshard;
+        if partitioned {
+            ctx.trace(|| {
+                let plan = ExecPlan::build(&self.executor, self.store.partition_map(), batch.txs());
+                TraceKind::ExecPlan {
+                    batch: batch.digest().short_u64(),
+                    partitions: plan.active_partitions() as u64,
+                    steps: plan.total_steps() as u64,
+                    max_queue_depth: plan.max_queue_depth() as u64,
+                    makespan_units: plan.makespan_units(),
+                }
             });
-            applied.outcomes
+        }
+        let outcomes = if partitioned && self.cfg.exec.exec_threads > 1 {
+            self.executor
+                .apply_batch_partitioned(&mut self.store, batch.txs(), self.cfg.exec.exec_threads)
+                .outcomes
         } else {
             self.executor.apply_batch(&mut self.store, batch.txs())
         };

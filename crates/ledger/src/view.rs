@@ -269,6 +269,30 @@ impl LedgerView {
         self.blocks.iter()
     }
 
+    /// The retained blocks in commit order, indexable: `retained()[i]` sits
+    /// at absolute height `first_retained_height() + i`.
+    pub(crate) fn retained(&self) -> &[Block] {
+        &self.blocks
+    }
+
+    /// The retained blocks, writable — for tests that forge a committed
+    /// block in place.
+    #[cfg(test)]
+    pub(crate) fn retained_mut(&mut self) -> &mut [Block] {
+        &mut self.blocks
+    }
+
+    /// The index in [`retained`](Self::retained) of the block stored under
+    /// `digest`: one lookup in the digest → height index, confirmed against
+    /// the block found there. `None` for a digest never committed, folded
+    /// behind the watermark, or whose index entry no longer names that block.
+    pub(crate) fn retained_index(&self, digest: Digest) -> Option<usize> {
+        let i = self
+            .height_of(digest)?
+            .checked_sub(self.checkpoint.height)?;
+        (self.blocks.get(i)?.digest() == digest).then_some(i)
+    }
+
     /// Number of blocks currently resident in memory.
     pub fn retained_blocks(&self) -> usize {
         self.blocks.len()

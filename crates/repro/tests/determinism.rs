@@ -143,28 +143,32 @@ fn partitioned_executor_runs_are_bit_identical_to_serial_apply() {
     // per-partition queues and worker threads may reorder the *work*, never
     // the per-account operation order, and the pipeline charges the same
     // execution cost in every mode. Whole-deployment runs under every
-    // partition count must therefore reproduce the serial golden run bit
-    // for bit — reports, mempool telemetry and ledger digests included.
+    // partition count — applied serially with one executor thread, through
+    // the scheduler with two — must therefore reproduce the serial golden
+    // run bit for bit — reports, mempool telemetry and ledger digests
+    // included.
     for model in [FailureModel::Crash, FailureModel::Byzantine] {
         let (serial, serial_digest) = run_once_batched(model, 0xE4EC, 16);
         assert!(serial.client_completed > 0, "{model}: no progress");
         for partitions in [1usize, 2, 4] {
-            let (split, split_digest) = run_once_exec(
-                model,
-                0xE4EC,
-                16,
-                ThreadMode::Sequential,
-                ExecutorConfig::partitioned(partitions, 2),
-            );
-            assert_eq!(
-                serial.simulation, split.simulation,
-                "{model}: {partitions} partitions diverged"
-            );
-            assert_eq!(
-                serial_digest, split_digest,
-                "{model}: {partitions}-partition digest diverged"
-            );
-            assert_eq!(serial.client_completed, split.client_completed);
+            for threads in [1usize, 2] {
+                let (split, split_digest) = run_once_exec(
+                    model,
+                    0xE4EC,
+                    16,
+                    ThreadMode::Sequential,
+                    ExecutorConfig::partitioned(partitions, threads),
+                );
+                assert_eq!(
+                    serial.simulation, split.simulation,
+                    "{model}: {partitions} partitions x {threads} threads diverged"
+                );
+                assert_eq!(
+                    serial_digest, split_digest,
+                    "{model}: {partitions} partitions x {threads} threads: digest diverged"
+                );
+                assert_eq!(serial.client_completed, split.client_completed);
+            }
         }
     }
 }

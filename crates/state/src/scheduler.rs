@@ -133,7 +133,6 @@ pub struct ExecPlan {
     total_steps: usize,
     makespan_units: u64,
     serial_units: u64,
-    conflict_pairs: usize,
 }
 
 impl ExecPlan {
@@ -252,15 +251,6 @@ impl ExecPlan {
         }
         let makespan_units = time.into_iter().max().unwrap_or(0);
 
-        let mut conflict_pairs = 0usize;
-        for i in 0..rws.len() {
-            for j in i + 1..rws.len() {
-                if rws[i].conflicts_with(&rws[j]) {
-                    conflict_pairs += 1;
-                }
-            }
-        }
-
         let total_steps = queues.iter().map(Vec::len).sum();
         Self {
             plans,
@@ -270,7 +260,6 @@ impl ExecPlan {
             total_steps,
             makespan_units,
             serial_units,
-            conflict_pairs,
         }
     }
 
@@ -283,11 +272,6 @@ impl ExecPlan {
     /// transaction), in work units.
     pub fn serial_units(&self) -> u64 {
         self.serial_units
-    }
-
-    /// Number of conflicting transaction pairs within the batch.
-    pub fn conflict_pairs(&self) -> usize {
-        self.conflict_pairs
     }
 
     /// Number of queued steps across all partitions.
@@ -318,8 +302,6 @@ pub struct PartitionedApply {
     pub makespan_units: u64,
     /// Serial reference cost of the batch, in work units.
     pub serial_units: u64,
-    /// Number of conflicting transaction pairs within the batch.
-    pub conflict_pairs: usize,
     /// Steps queued across all partitions by the executed plan.
     pub total_steps: usize,
     /// Peak per-partition queue depth of the executed plan.
@@ -346,7 +328,6 @@ pub(crate) fn execute(
         outcomes,
         makespan_units: plan.makespan_units,
         serial_units: plan.serial_units,
-        conflict_pairs: plan.conflict_pairs,
         total_steps: plan.total_steps,
         max_queue_depth: plan.max_queue_depth(),
         active_partitions: plan.active_partitions(),
